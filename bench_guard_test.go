@@ -38,42 +38,18 @@ type benchBaseline struct {
 		ParallelNsOp float64 `json:"parallel_ns_op"`
 		Speedup      float64 `json:"speedup"`
 	} `json:"baseline"`
-	// Kernels compares one serial BaseMatrix build across kernel layouts:
-	// the seed's AoS []complex128 arithmetic, the SoA default, the opt-in
-	// scalar unrolled variants (4- and 8-accumulator — both measured
-	// regressions on scalar FP ports, recorded honestly and bounded by
-	// the guard), and the vector (lag-sweep, AVX2+FMA) kernel.
+	// Kernels compares one serial (0, 2) base-matrix build three ways:
+	// the seed's AoS []complex128 arithmetic, the sequential SoA oracle
+	// (one Engine.Base call per entry, the seed's summation order), and
+	// the production lag sweep (BaseMatrixSerial: AVX2+FMA where
+	// supported).
 	Kernels struct {
 		AoSNsOp       float64 `json:"aos_ns_op"`
 		SoANsOp       float64 `json:"soa_ns_op"`
-		UnrolledNsOp  float64 `json:"unrolled_ns_op"`
-		Unrolled8NsOp float64 `json:"unrolled8_ns_op"`
 		VectorNsOp    float64 `json:"vector_ns_op"`
 		SoASpeedup    float64 `json:"soa_speedup"`
 		VectorSpeedup float64 `json:"vector_speedup"`
 	} `json:"kernels"`
-	// Batch compares building the three distinct pairs {(0,1), (0,2),
-	// (1,2)} per-pair (three serial single-pair builds, the pre-batching
-	// shape) against one cross-pair batched BaseMatrices pass, all on one
-	// core: batched_ns_op isolates the block-major layout effect with the
-	// sequential kernel, batched_vec_ns_op is the full fast path.
-	Batch struct {
-		PerPairNsOp    float64 `json:"per_pair_ns_op"`
-		BatchedNsOp    float64 `json:"batched_ns_op"`
-		BatchedVecNsOp float64 `json:"batched_vec_ns_op"`
-		LayoutSpeedup  float64 `json:"layout_speedup"`
-		Speedup        float64 `json:"speedup"`
-	} `json:"batch"`
-	// Precision compares one serial build on float64 planes (vector
-	// kernel) against float32 planes (half the memory traffic, twice the
-	// SIMD lanes), plus the measured worst-case element error of the
-	// float32 matrix against the float64 reference.
-	Precision struct {
-		F64NsOp   float64 `json:"f64_ns_op"`
-		F32NsOp   float64 `json:"f32_ns_op"`
-		Speedup   float64 `json:"speedup"`
-		MaxRelErr float64 `json:"max_rel_err"`
-	} `json:"precision"`
 	// Symmetric compares building {(0,2), (2,0), (1,1)} naively (three full
 	// serial matrices) against one BaseMatrices call that derives the
 	// reversed and self-pair halves by Hermitian reflection, both on a
@@ -162,6 +138,22 @@ func (g *aosGuard) matrix(i, j, w int) [][]float64 {
 			if t-l >= 0 && t-l < slots {
 				row[l+w] = g.base(i, j, t, t-l)
 			}
+		}
+		rows[t] = row
+	}
+	return rows
+}
+
+// seqOracle is the sequential row-fill oracle: the (i, j, w) base matrix
+// built entry by entry from Engine.Base, whose per-tx kernel keeps the
+// seed's summation order. It is the denominator of the lag sweep's
+// speedup floor.
+func seqOracle(e *trrs.Engine, i, j, w int) [][]float64 {
+	rows := make([][]float64, e.NumSlots())
+	for t := range rows {
+		row := make([]float64, 2*w+1)
+		for c := range row {
+			row[c] = e.Base(i, j, t, t-(c-w))
 		}
 		rows[t] = row
 	}
@@ -268,26 +260,21 @@ func guardHop(tb testing.TB, s *csi.Series, w int) func() {
 	return hopOnce
 }
 
-// benchNote documents the committed baseline's machine and the honest
-// reading of each section — most importantly that the scalar unrolled
-// kernels are measured regressions-to-parity (a representative run: 3.51 ms unrolled4 vs 3.34 ms
-// sequential when recorded), kept as bounded opt-ins, while the vector
-// kernel and float32 planes are the real levers.
-const benchNote = "Recorded on a 1-core CI container (Intel Xeon ~2.1 GHz AVX2+FMA, go1.24); on 1 core the worker pool degenerates to the serial loop so the parallel speedup is ~1x. kernels compares one serial build: AoS []complex128 reference vs the SoA default (bit-exact) vs the opt-in unrolled4/unrolled8 scalar kernels vs the vector (lag-sweep AVX2) kernel. The scalar unrolled kernels are measured regressions-to-parity on this FP-bound CPU class (a representative run recorded 3.51ms unrolled4 vs 3.34ms sequential; run-to-run noise can land them at parity, never ahead) — they stay opt-in and the guard bounds unrolled4 at 1.15x of sequential; the vector kernel must hold >=1.5x. batch builds the three distinct pairs {(0,1),(0,2),(1,2)} per-pair vs one cross-pair batched pass on one core: layout_speedup isolates the block-major schedule with the sequential kernel (floor 0.9x), speedup is the batched+vector fast path (floor 1.25x). precision is one serial build on float32 planes vs float64 (both vector-shaped), floor 1.3x with max element error <= 1e-5. symmetric is the Hermitian-reflection dedup of {(0,2),(2,0),(1,1)} on one core (floor 1.5x). hop is one steady-state incremental hop (append W, drop W, refresh) at Parallelism 1 and must stay at 0 allocs/op. TestBenchGuard re-measures all ratios live (vector/batch/precision floors apply only where sigproc.VecSupported and outside -race). Regenerate with: go test -run TestBenchGuard -update-bench ."
+// benchNote documents the committed baseline's machine and the reading of
+// each section.
+const benchNote = "Recorded on a 2-core container (Intel Xeon, AVX2+FMA, go1.24). baseline is one (0,2) base-matrix build through the lag sweep, serial vs the worker pool (floor 1.1x on 2 cores). kernels compares one serial build three ways: the seed's AoS []complex128 arithmetic, the sequential SoA oracle (one Engine.Base call per entry, bit-exact to the seed), and the production lag sweep (AVX2+FMA, 1e-12 relative to the oracle); soa_speedup = aos/oracle (floor 0.85x), vector_speedup = oracle/sweep (floor 1.5x where sigproc.VecSupported, outside -race). symmetric is the Hermitian-reflection dedup of {(0,2),(2,0),(1,1)} on one core (floor 1.5x outside -race). hop is one steady-state incremental hop (append W, drop W, refresh) at Parallelism 1 and must stay at 0 allocs/op. TestBenchGuard re-measures all ratios live. Regenerate with: go test -run TestBenchGuard -update-bench ."
 
 // TestBenchGuard is the benchmark regression guard of the TRRS engine. On
 // the committed Fast-scale fixture it measures, live:
 //
 //   - parallel vs serial BaseMatrix (the pool must not lose to one core),
-//   - the SoA kernel vs the seed's AoS arithmetic (no regression),
-//   - the opt-in kernels: unrolled4 bounded at 1.15x of sequential (a
-//     documented scalar-port regression), the vector kernel at ≥1.5x
-//     where AVX2 is available,
-//   - the cross-pair batched bulk build vs per-pair serial builds
-//     (layout floor 0.9x; with the vector kernel ≥1.25x),
-//   - float32 planes vs float64 (≥1.3x, max element error ≤1e-5),
+//   - the sequential SoA oracle vs the seed's AoS arithmetic (no
+//     regression),
+//   - the production lag sweep vs the sequential oracle (≥1.5x where
+//     AVX2 is available),
 //   - the Hermitian-dedup build of a symmetric pair set vs three naive
-//     serial builds (must hold the recorded ≥1.5x on a single core),
+//     serial builds (must hold the recorded ≥1.5x on a single core,
+//     outside -race),
 //   - one steady-state incremental hop, which must not allocate
 //     (skipped under the race detector, whose instrumentation allocates).
 //
@@ -322,7 +309,11 @@ func TestBenchGuard(t *testing.T) {
 	if cores >= 2 {
 		parallelTarget = 1.6
 	}
-	speedup, serial, parallel := guardRatio(parallelTarget, 4, reps,
+	// The parallel side needs a second idle core, which test binaries of
+	// other packages running at the same time can hold for seconds, so
+	// this ratio gets a long escalation budget (seconds, not milliseconds,
+	// of sampling); sampling stops as soon as the target is met.
+	speedup, serial, parallel := guardRatio(parallelTarget, 200, reps,
 		func() {
 			e.SetParallelism(1)
 			sinkM = e.BaseMatrixSerial(0, 2, w)
@@ -347,155 +338,55 @@ func TestBenchGuard(t *testing.T) {
 			speedup, floor, cores, serial, parallel)
 	}
 
-	// Kernel comparison: the SoA default vs the seed's AoS arithmetic.
-	// This CPU class is FP-throughput-bound, so parity is the expectation;
-	// the floor only catches a genuine kernel regression, not run noise.
+	// Kernel comparison: the sequential SoA oracle vs the seed's AoS
+	// arithmetic, and the production lag sweep vs the oracle, each judged
+	// on paired samples. This CPU class is FP-throughput-bound, so parity
+	// is the expectation for the first; the floor only catches a genuine
+	// regression, not run noise.
 	ref := newAoSGuard(s)
-	aos := measure(reps, func() { sinkRows = ref.matrix(0, 2, w) })
 	e.SetParallelism(1)
-	e.SetKernel(trrs.KernelUnrolled4)
-	unrolled := measure(reps, func() { sinkM = e.BaseMatrixSerial(0, 2, w) })
-	e.SetKernel(trrs.KernelUnrolled8)
-	unrolled8 := measure(reps, func() { sinkM = e.BaseMatrixSerial(0, 2, w) })
-	e.SetKernel(trrs.KernelVector)
-	vector := measure(reps, func() { sinkM = e.BaseMatrixSerial(0, 2, w) })
-	e.SetKernel(trrs.KernelSequential)
-	soaSpeedup := float64(aos) / float64(serial)
-	vecSpeedup := float64(serial) / float64(vector)
-	t.Logf("kernels: aos=%v soa=%v unrolled=%v unrolled8=%v vector=%v soa_speedup=%.2fx vector_speedup=%.2fx",
-		aos, serial, unrolled, unrolled8, vector, soaSpeedup, vecSpeedup)
+	soaSpeedup, aos, soa := guardRatio(1.0, 4, reps,
+		func() { sinkRows = ref.matrix(0, 2, w) },
+		func() { sinkRows = seqOracle(e, 0, 2, w) })
+	vecSpeedup, _, vector := guardRatio(2.0, 4, reps,
+		func() { sinkRows = seqOracle(e, 0, 2, w) },
+		func() { sinkM = e.BaseMatrixSerial(0, 2, w) })
+	t.Logf("kernels: aos=%v soa=%v vector=%v soa_speedup=%.2fx vector_speedup=%.2fx",
+		aos, soa, vector, soaSpeedup, vecSpeedup)
 	// Race instrumentation taxes the flat-plane kernels far more than the
 	// AoS loop, so the cross-layout ratio is only meaningful without it
 	// (the CI guard step runs un-instrumented).
 	if !raceEnabled && soaSpeedup < 0.85 {
-		t.Errorf("SoA kernel regressed to %.2fx of the AoS reference (aos %v, soa %v), floor 0.85x",
-			soaSpeedup, aos, serial)
+		t.Errorf("SoA oracle regressed to %.2fx of the AoS reference (aos %v, soa %v), floor 0.85x",
+			soaSpeedup, aos, soa)
 	}
-	// The scalar unrolled kernels are measured REGRESSIONS on this CPU
-	// class (register spills + saturated scalar FP ports), kept as honest
-	// opt-ins — bounded so they never quietly rot past "slightly slower".
-	// Both sides are scalar and slow enough that separately-measured
-	// timings drift apart under machine noise, so the ceiling re-judges
-	// them through guardRatio (inverted: the favorable-high seq/unrolled
-	// estimate is the favorable-low unrolled/seq ratio the ceiling wants).
-	if !raceEnabled {
-		inv, _, _ := guardRatio(1.0/1.10, 4, reps,
-			func() {
-				e.SetKernel(trrs.KernelSequential)
-				sinkM = e.BaseMatrixSerial(0, 2, w)
-			},
-			func() {
-				e.SetKernel(trrs.KernelUnrolled4)
-				sinkM = e.BaseMatrixSerial(0, 2, w)
-			})
-		if ratio := 1 / inv; ratio > 1.15 {
-			t.Errorf("unrolled4 kernel at %.2fx of sequential, ceiling 1.15x", ratio)
-		}
-		e.SetKernel(trrs.KernelSequential)
-	}
-	// The vector kernel is the perf lever; on AVX2 hardware it must hold
-	// a clear win (measured ~3.3-3.8x; floor leaves noise headroom).
+	// The lag sweep is the perf lever; on AVX2 hardware it must hold a
+	// clear win over the sequential oracle (floor leaves noise headroom).
 	if !raceEnabled && sigproc.VecSupported() && vecSpeedup < 1.5 {
-		t.Errorf("vector kernel speedup %.2fx below the 1.5x floor (sequential %v, vector %v)",
-			vecSpeedup, serial, vector)
+		t.Errorf("lag-sweep speedup %.2fx below the 1.5x floor (oracle %v, sweep %v)",
+			vecSpeedup, soa, vector)
 	}
-
-	// Cross-pair batched build (one core, three distinct pairs): layout
-	// effect alone (sequential kernel), then the full vector fast path.
-	bulkPairs := []trrs.PairSpec{{I: 0, J: 1}, {I: 0, J: 2}, {I: 1, J: 2}}
-	e.SetParallelism(1)
-	perPairF := func() {
-		for _, p := range bulkPairs {
-			sinkM = e.BaseMatrixSerial(p.I, p.J, w)
-		}
-	}
-	layoutSpeedup, perPair, batched := guardRatio(1.0, 4, reps, perPairF,
-		func() { sinkMs = e.BaseMatrices(bulkPairs, w) })
-	eBat := trrs.NewEngine(s)
-	eBat.SetParallelism(1)
-	eBat.SetKernel(trrs.KernelVector)
-	batchSpeedup, perPairVec, batchedVec := guardRatio(1.35, 4, reps, perPairF,
-		func() { sinkMs = eBat.BaseMatrices(bulkPairs, w) })
-	if perPairVec < perPair {
-		perPair = perPairVec
-	}
-	t.Logf("batch: per_pair=%v batched=%v batched_vec=%v layout=%.2fx speedup=%.2fx",
-		perPair, batched, batchedVec, layoutSpeedup, batchSpeedup)
-	if !raceEnabled && layoutSpeedup < 0.9 {
-		t.Errorf("batched schedule (sequential kernel) at %.2fx of per-pair builds, floor 0.9x (per-pair %v, batched %v)",
-			layoutSpeedup, perPair, batched)
-	}
-	if !raceEnabled && sigproc.VecSupported() && batchSpeedup < 1.25 {
-		t.Errorf("batched+vector build speedup %.2fx below the 1.25x floor (per-pair %v, batched %v)",
-			batchSpeedup, perPair, batchedVec)
-	}
-
-	// Float32 plane mode: throughput against the float64 vector path and
-	// the live worst-case element error against the float64 reference.
-	// The two sides are measured interleaved (f64, f32, f64, f32, ...) so
-	// machine-level noise — frequency steps, neighbors on a shared CI
-	// container — hits both distributions instead of skewing the ratio.
-	e32 := trrs.NewEnginePrecision(s, trrs.PrecisionFloat32)
-	e32.SetParallelism(1)
-	eVec := trrs.NewEngine(s)
-	eVec.SetParallelism(1)
-	eVec.SetKernel(trrs.KernelVector)
-	var m32 *trrs.Matrix
-	f32Speedup, f64t, f32 := guardRatio(1.4, 4, 3*reps,
-		func() { sinkM = eVec.BaseMatrixSerial(0, 2, w) },
-		func() { m32 = e32.BaseMatrixSerial(0, 2, w) })
-	maxRelErr := 0.0
-	refM := e.BaseMatrixSerial(0, 2, w)
-	for ti := range refM.Vals {
-		for c := range refM.Vals[ti] {
-			d := refM.Vals[ti][c] - m32.Vals[ti][c]
-			if d < 0 {
-				d = -d
-			}
-			den := refM.Vals[ti][c]
-			if den < 1 {
-				den = 1
-			}
-			if rel := d / den; rel > maxRelErr {
-				maxRelErr = rel
-			}
-		}
-	}
-	t.Logf("precision: f64=%v f32=%v speedup=%.2fx max_rel_err=%.2e", f64t, f32, f32Speedup, maxRelErr)
-	if maxRelErr > 1e-5 {
-		t.Errorf("float32 matrix error %.2e above the 1e-5 budget", maxRelErr)
-	}
-	if !raceEnabled && sigproc.VecSupported() && f32Speedup < 1.3 {
-		t.Errorf("float32 plane speedup %.2fx below the 1.3x floor (f64 %v, f32 %v)",
-			f32Speedup, f64t, f32)
-	}
-
-	// benchstat-style before/after summary of the headline comparisons.
-	for _, row := range []struct {
-		name     string
-		old, new time.Duration
-	}{
-		{"BaseMatrix/sequential→vector", serial, vector},
-		{"BaseMatrices/per-pair→batched-vec", perPair, batchedVec},
-		{"BaseMatrix/f64→f32", f64t, f32},
-	} {
-		t.Logf("benchstat: %-36s %12v → %12v   %+.1f%%",
-			row.name, row.old.Round(time.Microsecond), row.new.Round(time.Microsecond),
-			100*(float64(row.new)-float64(row.old))/float64(row.old))
-	}
+	t.Logf("benchstat: %-36s %12v → %12v   %+.1f%%", "BaseMatrix/oracle→sweep",
+		soa.Round(time.Microsecond), vector.Round(time.Microsecond),
+		100*(float64(vector)-float64(soa))/float64(soa))
 
 	// Symmetry deduplication: one core, so the win is pure reflection.
 	symPairs := []trrs.PairSpec{{I: 0, J: 2}, {I: 2, J: 0}, {I: 1, J: 1}}
-	naive := measure(reps, func() {
-		for _, p := range symPairs {
-			sinkM = e.BaseMatrixSerial(p.I, p.J, w)
-		}
-	})
 	e.SetParallelism(1)
-	dedup := measure(reps, func() { sinkMs = e.BaseMatrices(symPairs, w) })
-	symSpeedup := float64(naive) / float64(dedup)
+	symSpeedup, naive, dedup := guardRatio(1.7, 4, reps,
+		func() {
+			for _, p := range symPairs {
+				sinkM = e.BaseMatrixSerial(p.I, p.J, w)
+			}
+		},
+		func() { sinkMs = e.BaseMatrices(symPairs, w) })
 	t.Logf("symmetric: naive=%v dedup=%v speedup=%.2fx", naive, dedup, symSpeedup)
-	if symSpeedup < 1.5 {
+	// The race detector instruments the Go reflection (every element read
+	// and write) but not the assembly sweep the naive side spends its time
+	// in, so under -race this ratio measures instrumentation, not the
+	// kernel work the dedup saves; it is judged un-instrumented only, like
+	// the kernel floors above.
+	if !raceEnabled && symSpeedup < 1.5 {
 		t.Errorf("symmetric-pair dedup speedup %.2fx below the 1.5x floor (naive %v, dedup %v)",
 			symSpeedup, naive, dedup)
 	}
@@ -521,21 +412,10 @@ func TestBenchGuard(t *testing.T) {
 		bl.Baseline.ParallelNsOp = float64(parallel.Nanoseconds())
 		bl.Baseline.Speedup = speedup
 		bl.Kernels.AoSNsOp = float64(aos.Nanoseconds())
-		bl.Kernels.SoANsOp = float64(serial.Nanoseconds())
-		bl.Kernels.UnrolledNsOp = float64(unrolled.Nanoseconds())
-		bl.Kernels.Unrolled8NsOp = float64(unrolled8.Nanoseconds())
+		bl.Kernels.SoANsOp = float64(soa.Nanoseconds())
 		bl.Kernels.VectorNsOp = float64(vector.Nanoseconds())
 		bl.Kernels.SoASpeedup = soaSpeedup
 		bl.Kernels.VectorSpeedup = vecSpeedup
-		bl.Batch.PerPairNsOp = float64(perPair.Nanoseconds())
-		bl.Batch.BatchedNsOp = float64(batched.Nanoseconds())
-		bl.Batch.BatchedVecNsOp = float64(batchedVec.Nanoseconds())
-		bl.Batch.LayoutSpeedup = layoutSpeedup
-		bl.Batch.Speedup = batchSpeedup
-		bl.Precision.F64NsOp = float64(f64t.Nanoseconds())
-		bl.Precision.F32NsOp = float64(f32.Nanoseconds())
-		bl.Precision.Speedup = f32Speedup
-		bl.Precision.MaxRelErr = maxRelErr
 		bl.Note = benchNote
 		bl.Symmetric.NaiveNsOp = float64(naive.Nanoseconds())
 		bl.Symmetric.DedupNsOp = float64(dedup.Nanoseconds())
@@ -568,21 +448,11 @@ func TestBenchBaselineFixtureShape(t *testing.T) {
 	if bl.Fixture.W != 50 || bl.Fixture.Slots < 2*bl.Fixture.W {
 		t.Fatalf("fixture shape drifted: %+v", bl.Fixture)
 	}
-	if bl.Kernels.AoSNsOp <= 0 || bl.Kernels.SoANsOp <= 0 || bl.Kernels.UnrolledNsOp <= 0 ||
-		bl.Kernels.Unrolled8NsOp <= 0 || bl.Kernels.VectorNsOp <= 0 {
+	if bl.Kernels.AoSNsOp <= 0 || bl.Kernels.SoANsOp <= 0 || bl.Kernels.VectorNsOp <= 0 {
 		t.Errorf("kernel rows must be recorded: %+v", bl.Kernels)
 	}
-	if bl.Batch.PerPairNsOp <= 0 || bl.Batch.BatchedNsOp <= 0 || bl.Batch.BatchedVecNsOp <= 0 {
-		t.Errorf("batch rows must be recorded: %+v", bl.Batch)
-	}
-	if bl.Batch.Speedup < 1.25 {
-		t.Errorf("recorded batched-build speedup %.2fx below the promised 1.25x", bl.Batch.Speedup)
-	}
-	if bl.Precision.Speedup < 1.3 {
-		t.Errorf("recorded float32 speedup %.2fx below the promised 1.3x", bl.Precision.Speedup)
-	}
-	if bl.Precision.MaxRelErr <= 0 || bl.Precision.MaxRelErr > 1e-5 {
-		t.Errorf("recorded float32 max error %.2e outside (0, 1e-5]", bl.Precision.MaxRelErr)
+	if bl.Kernels.VectorSpeedup < 1.5 {
+		t.Errorf("recorded lag-sweep speedup %.2fx below the promised 1.5x", bl.Kernels.VectorSpeedup)
 	}
 	if bl.Symmetric.Speedup < 1.5 {
 		t.Errorf("recorded symmetric speedup %.2fx below the promised 1.5x", bl.Symmetric.Speedup)

@@ -108,41 +108,50 @@ func nilOpCost() time.Duration {
 	return time.Since(t0) / n
 }
 
-// replaySlotCost replays the fixture through a streamer and returns the
-// best-of-reps wall time per slot.
-func replaySlotCost(s *csi.Series, reg *obs.Registry, qual *quality.Engine, reps int) time.Duration {
+// guardStreamConfig is the streaming configuration the overhead guards
+// replay: the Fast-scale window on the linear array, nothing attached.
+func guardStreamConfig() core.StreamConfig {
 	cfg := core.StreamConfig{Core: core.DefaultConfig(array.NewLinear3(0.029))}
 	cfg.Core.WindowSeconds = 0.3
 	cfg.Core.V = 16
-	cfg.Core.Obs = reg
-	cfg.Core.Quality = qual
-	best := time.Duration(1<<63 - 1)
-	for r := 0; r < reps; r++ {
-		st, err := core.NewStreamer(cfg, s.Rate, s.NumAnts, s.NumTx, s.NumSub)
-		if err != nil {
+	return cfg
+}
+
+// replayOnce streams the whole fixture through a fresh streamer built from
+// cfg and flushes it.
+func replayOnce(s *csi.Series, cfg core.StreamConfig) {
+	st, err := core.NewStreamer(cfg, s.Rate, s.NumAnts, s.NumTx, s.NumSub)
+	if err != nil {
+		panic(err)
+	}
+	snap := make([][][]complex128, s.NumAnts)
+	for a := range snap {
+		snap[a] = make([][]complex128, s.NumTx)
+	}
+	for ti := 0; ti < s.NumSlots(); ti++ {
+		for a := 0; a < s.NumAnts; a++ {
+			for tx := 0; tx < s.NumTx; tx++ {
+				snap[a][tx] = s.H[a][tx][ti]
+			}
+		}
+		if _, err := st.Push(snap); err != nil && !errors.Is(err, core.ErrAnalysis) {
 			panic(err)
 		}
-		snap := make([][][]complex128, s.NumAnts)
-		for a := range snap {
-			snap[a] = make([][]complex128, s.NumTx)
-		}
-		t0 := time.Now()
-		for ti := 0; ti < s.NumSlots(); ti++ {
-			for a := 0; a < s.NumAnts; a++ {
-				for tx := 0; tx < s.NumTx; tx++ {
-					snap[a][tx] = s.H[a][tx][ti]
-				}
-			}
-			if _, err := st.Push(snap); err != nil && !errors.Is(err, core.ErrAnalysis) {
-				panic(err)
-			}
-		}
-		st.Flush()
-		if d := time.Since(t0) / time.Duration(s.NumSlots()); d < best {
-			best = d
-		}
 	}
-	return best
+	st.Flush()
+}
+
+// pairedOverhead judges the slowdown of replaying under instrumented
+// against bare on interleaved paired samples (guardRatio), so machine
+// contention slows both sides alike. It returns the favorable overhead
+// fraction (instrumented/bare − 1, budget escalating until it clears
+// ceiling) and the best bare and instrumented wall times per slot.
+func pairedOverhead(s *csi.Series, bare, instrumented core.StreamConfig, ceiling float64) (frac float64, bareSlot, instSlot time.Duration) {
+	ratio, bareBest, instBest := guardRatio(1/(1+ceiling), 4, 3,
+		func() { replayOnce(s, bare) },
+		func() { replayOnce(s, instrumented) })
+	slots := time.Duration(s.NumSlots())
+	return 1/ratio - 1, bareBest / slots, instBest / slots
 }
 
 // TestObsOverheadGuard is the observability overhead regression guard: on
@@ -168,16 +177,20 @@ func TestObsOverheadGuard(t *testing.T) {
 	}
 
 	s := obsGuardSeries(&bl)
-	const reps = 3
 	perOp := nilOpCost()
-	nilSlot := replaySlotCost(s, nil, nil, reps)
-	liveSlot := replaySlotCost(s, obs.NewRegistry(), nil, reps)
-	qreg := obs.NewRegistry()
-	qualSlot := replaySlotCost(s, qreg, quality.New(quality.Config{Obs: qreg}), reps)
+	bare := guardStreamConfig()
+	live := guardStreamConfig()
+	live.Core.Obs = obs.NewRegistry()
+	liveFrac, nilSlot, liveSlot := pairedOverhead(s, bare, live, 0.25)
+	qual := guardStreamConfig()
+	qual.Core.Obs = obs.NewRegistry()
+	qual.Core.Quality = quality.New(quality.Config{Obs: qual.Core.Obs})
+	qualFrac, nilSlot2, qualSlot := pairedOverhead(s, bare, qual, 0.30)
+	if nilSlot2 < nilSlot {
+		nilSlot = nilSlot2
+	}
 
 	nilFrac := float64(perOp) * opsPerSlotBudget / float64(nilSlot)
-	liveFrac := float64(liveSlot)/float64(nilSlot) - 1
-	qualFrac := float64(qualSlot)/float64(nilSlot) - 1
 	t.Logf("cores=%d nil op=%v slot(nil)=%v slot(live)=%v slot(quality)=%v nil-budget overhead=%.3f%% live overhead=%.1f%% quality overhead=%.1f%%",
 		runtime.GOMAXPROCS(0), perOp, nilSlot, liveSlot, qualSlot, nilFrac*100, liveFrac*100, qualFrac*100)
 

@@ -2,15 +2,11 @@ package rim
 
 import (
 	"encoding/json"
-	"errors"
 	"os"
 	"runtime"
 	"testing"
 	"time"
 
-	"rim/internal/array"
-	"rim/internal/core"
-	"rim/internal/csi"
 	"rim/internal/obs/trace"
 )
 
@@ -30,44 +26,6 @@ func nilTraceOpCost() time.Duration {
 		f.Offer(trace.ReasonDegradedEstimates, -1, nil)
 	}
 	return time.Since(t0) / n
-}
-
-// replaySlotCostTraced replays the obs-guard fixture through a streamer
-// with the given recorder wired in (nil = tracing disabled) and returns
-// the best-of-reps wall time per slot. Mirrors replaySlotCost but leaves
-// the metrics registry detached so only the tracing delta is measured.
-func replaySlotCostTraced(s *csi.Series, rec *trace.Recorder, reps int) time.Duration {
-	cfg := core.StreamConfig{Core: core.DefaultConfig(array.NewLinear3(0.029))}
-	cfg.Core.WindowSeconds = 0.3
-	cfg.Core.V = 16
-	cfg.Core.Trace = rec
-	best := time.Duration(1<<63 - 1)
-	for r := 0; r < reps; r++ {
-		st, err := core.NewStreamer(cfg, s.Rate, s.NumAnts, s.NumTx, s.NumSub)
-		if err != nil {
-			panic(err)
-		}
-		snap := make([][][]complex128, s.NumAnts)
-		for a := range snap {
-			snap[a] = make([][]complex128, s.NumTx)
-		}
-		t0 := time.Now()
-		for ti := 0; ti < s.NumSlots(); ti++ {
-			for a := 0; a < s.NumAnts; a++ {
-				for tx := 0; tx < s.NumTx; tx++ {
-					snap[a][tx] = s.H[a][tx][ti]
-				}
-			}
-			if _, err := st.Push(snap); err != nil && !errors.Is(err, core.ErrAnalysis) {
-				panic(err)
-			}
-		}
-		st.Flush()
-		if d := time.Since(t0) / time.Duration(s.NumSlots()); d < best {
-			best = d
-		}
-	}
-	return best
 }
 
 // TestTraceOverheadGuard is the causal-tracing twin of TestObsOverheadGuard:
@@ -94,14 +52,13 @@ func TestTraceOverheadGuard(t *testing.T) {
 	}
 
 	s := obsGuardSeries(&bl)
-	const reps = 3
 	perOp := nilTraceOpCost()
-	nilSlot := replaySlotCostTraced(s, nil, reps)
 	rec := trace.NewRecorder(0)
-	liveSlot := replaySlotCostTraced(s, rec, reps)
+	traced := guardStreamConfig()
+	traced.Core.Trace = rec
+	liveFrac, nilSlot, liveSlot := pairedOverhead(s, guardStreamConfig(), traced, 0.25)
 
 	nilFrac := float64(perOp) * opsPerSlotBudget / float64(nilSlot)
-	liveFrac := float64(liveSlot)/float64(nilSlot) - 1
 	t.Logf("cores=%d nil trace op=%v slot(nil)=%v slot(live)=%v nil-budget overhead=%.3f%% live overhead=%.1f%% events=%d",
 		runtime.GOMAXPROCS(0), perOp, nilSlot, liveSlot, nilFrac*100, liveFrac*100, rec.TotalEmitted())
 

@@ -11,8 +11,6 @@
 //	          [-shards 8] [-max-sessions 0] [-queue 64]
 //	          [-policy drop-oldest|reject|degrade]
 //	          [-hop-deadline 0] [-span 3] [-hop 0.5]
-//	          [-kernel sequential|unrolled4|unrolled8|vector]
-//	          [-precision float64|float32]
 //	          [-checkpoint-dir dir] [-checkpoint-every 5s]
 //	          [-postmortem-out dir] [-fusion off|particle|eskf]
 //	          [-metric-cardinality 0] [-confidence-floor 0]
@@ -58,7 +56,6 @@ import (
 	"rim/internal/obs/slo"
 	"rim/internal/obs/trace"
 	"rim/internal/session"
-	"rim/internal/trrs"
 )
 
 func fatal(args ...any) {
@@ -92,8 +89,6 @@ func main() {
 	span := flag.Float64("span", 3, "streaming analysis span, seconds")
 	hop := flag.Float64("hop", 0.5, "streaming analysis hop, seconds")
 	window := flag.Float64("window", 0.3, "TRRS lag window, seconds")
-	kernelName := flag.String("kernel", "", "TRRS kernel: sequential (default, bit-exact), unrolled4, unrolled8, vector")
-	precName := flag.String("precision", "", "TRRS plane precision: float64 (default, bit-exact), float32")
 	maxRestarts := flag.Int("max-restarts", 3, "consecutive supervisor restarts before quarantine")
 	failThresh := flag.Int("failure-threshold", 0, "consecutive analysis failures before a session restart (0 = package default)")
 	ckptDir := flag.String("checkpoint-dir", "", "directory for session checkpoints (enables crash-restart)")
@@ -118,14 +113,6 @@ func main() {
 	policy, ok := session.ParsePolicy(*policyName)
 	if !ok {
 		fatal("unknown -policy", *policyName)
-	}
-	kernel, err := trrs.ParseKernel(*kernelName)
-	if err != nil {
-		fatal(err)
-	}
-	precision, err := trrs.ParsePrecision(*precName)
-	if err != nil {
-		fatal(err)
 	}
 
 	var fusionCfg *fusion.Config
@@ -216,8 +203,6 @@ func main() {
 		Template: core.StreamConfig{
 			Core: core.Config{
 				WindowSeconds: *window,
-				Kernel:        kernel,
-				Precision:     precision,
 				Obs:           reg,
 				Trace:         rec,
 				Flight:        flight,

@@ -7,7 +7,6 @@
 //
 //	rimtrack [-ap 0] [-seed 1] [-speed 0.5] [-fused] [-backend particle|eskf]
 //	         [-quality] [-loss 0.3] [-dead-ant 2]
-//	         [-kernel sequential|unrolled4|unrolled8|vector] [-precision float64|float32]
 //	         [-debug-addr :6060] [-debug-linger 30s]
 //	         [-trace-out trace.json] [-postmortem-out dir]
 //
@@ -43,7 +42,6 @@ import (
 	"rim/internal/obs/trace"
 	"rim/internal/rf"
 	"rim/internal/traj"
-	"rim/internal/trrs"
 	"rim/internal/viz"
 )
 
@@ -60,21 +58,8 @@ func main() {
 	debugLinger := flag.Duration("debug-linger", 0, "keep the debug server up this long after the run, for scraping (requires -debug-addr)")
 	traceOut := flag.String("trace-out", "", "write the run's causal trace as Chrome trace-event JSON (open in Perfetto or chrome://tracing)")
 	pmOut := flag.String("postmortem-out", "", "directory flight-recorder postmortem bundles are written to on degradation")
-	kernelName := flag.String("kernel", "", "TRRS kernel: sequential (default, bit-exact), unrolled4, unrolled8, vector")
-	precName := flag.String("precision", "", "TRRS plane precision: float64 (default, bit-exact), float32")
 	qualityOn := flag.Bool("quality", false, "attach an estimator-consistency monitor to the fusion backend and print its verdict (requires -fused)")
 	flag.Parse()
-
-	kernel, err := trrs.ParseKernel(*kernelName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rimtrack:", err)
-		os.Exit(2)
-	}
-	precision, err := trrs.ParsePrecision(*precName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rimtrack:", err)
-		os.Exit(2)
-	}
 
 	// Observability is opt-in: without -debug-addr, -trace-out or
 	// -postmortem-out the registry and recorder stay nil and every
@@ -167,8 +152,6 @@ func main() {
 	cfg := core.DefaultConfig(arr)
 	cfg.WindowSeconds = 0.3
 	cfg.V = 16
-	cfg.Kernel = kernel
-	cfg.Precision = precision
 	cfg.Obs = reg
 	cfg.Trace = rec
 	cfg.Flight = flight
@@ -197,8 +180,6 @@ func main() {
 		cfg = core.DefaultConfig(arr3)
 		cfg.WindowSeconds = 0.3
 		cfg.V = 16
-		cfg.Kernel = kernel
-		cfg.Precision = precision
 		cfg.Obs = reg
 		cfg.Trace = rec
 		cfg.Flight = flight

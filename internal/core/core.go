@@ -76,18 +76,6 @@ type Config struct {
 	// and n > 1 uses exactly n workers. All settings produce bit-for-bit
 	// identical matrices.
 	Parallelism int
-	// Kernel selects the TRRS inner-product kernel (see trrs.Kernel). The
-	// zero value, trrs.KernelSequential, is bit-for-bit identical to the
-	// reference arithmetic; trrs.KernelUnrolled4 opts into the pipelined
-	// 4-accumulator kernel (1e-12-relative agreement); trrs.KernelVector
-	// opts into the lag-sweep kernel (AVX2+FMA where supported).
-	Kernel trrs.Kernel
-	// Precision selects the TRRS plane storage precision (see
-	// trrs.Precision). The zero value, trrs.PrecisionFloat64, is the
-	// bit-exact reference; trrs.PrecisionFloat32 halves plane memory
-	// traffic and doubles vector lanes at a ~1e-5 relative matrix error
-	// (end-to-end error budget guarded by TestFloat32ErrorBudget).
-	Precision trrs.Precision
 	// Obs is the observability registry stage timers and counters report
 	// into (see internal/obs and DESIGN.md "Observability"). nil — the
 	// default — disables metrics; disabled instrumentation costs one nil
@@ -401,9 +389,8 @@ func NewPipeline(s *csi.Series, cfg Config) (*Pipeline, error) {
 			cfg.Array.NumAntennas(), s.NumAnts)
 	}
 	cfg.applyDefaults(s.Rate)
-	eng := trrs.NewEnginePrecision(s, cfg.Precision)
+	eng := trrs.NewEngine(s)
 	eng.SetParallelism(cfg.Parallelism)
-	eng.SetKernel(cfg.Kernel)
 	eng.SetObs(cfg.Obs)
 	eng.SetTrace(cfg.Trace)
 	eng.SetHop(cfg.traceHop)
@@ -444,9 +431,8 @@ func pairGeometry(arr *array.Array) ([]array.ParallelGroup, []array.Pair) {
 // neededPairs collects the distinct base-matrix pairs the pipeline will
 // request for the given geometry, deduplicated in request order: every
 // pair of every parallel group (first pair only under
-// DisablePairAveraging) plus the rotation ring. Both the batch bulk
-// build and the streaming pre-warm use it, so the batched schedule
-// covers exactly the pairs the per-pair lookups will ask for.
+// DisablePairAveraging) plus the rotation ring. The batch bulk build
+// computes exactly these, so the per-pair lookups always hit its cache.
 func neededPairs(groups []array.ParallelGroup, ring []array.Pair, disablePairAveraging bool) []trrs.PairSpec {
 	var pairs []trrs.PairSpec
 	seen := map[[2]int]bool{}
@@ -491,9 +477,8 @@ func newPipelineFromEngine(eng *trrs.Engine, baseFor func(i, j int) *trrs.Matrix
 
 	// Base matrices are shared between translation groups and the
 	// rotation ring; collect the distinct pairs first so the bulk source
-	// computes each exactly once, in one cross-pair batched pool (every
-	// time block's CSI planes are read once and feed all pairs sharing
-	// it — see trrs.BaseMatrices). Reversed pairs and self-pairs need no
+	// computes each exactly once, in one worker pool (see
+	// trrs.BaseMatrices). Reversed pairs and self-pairs need no
 	// handling here: BaseMatrices derives them by the Hermitian
 	// reflection instead of recomputing.
 	groups, ring := pairGeometry(cfg.Array)

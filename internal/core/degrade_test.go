@@ -95,11 +95,12 @@ func streamedDistance(es []Estimate, rate float64) float64 {
 func TestStreamerShapeValidation(t *testing.T) {
 	arr := array.NewLinear3(spacing)
 	cfg := streamConfig(arr)
-	if _, err := NewStreamer(cfg, 0, 3, 3, 30); err == nil {
-		t.Error("rate 0 must error")
-	}
-	if _, err := NewStreamer(cfg, -100, 3, 3, 30); err == nil {
-		t.Error("negative rate must error")
+	// NaN and ±Inf must be refused at construction like 0 and negative
+	// rates, not discovered by every later hop's rate consistency check.
+	for _, rate := range []float64{0, -100, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewStreamer(cfg, rate, 3, 3, 30); err == nil {
+			t.Errorf("rate %v must error", rate)
+		}
 	}
 	if _, err := NewStreamer(cfg, 100, 0, 3, 30); err == nil {
 		t.Error("0 antennas must error")

@@ -134,9 +134,6 @@ type Streamer struct {
 	// steady-state path.
 	incSnap  [][][]complex128
 	remapHdr map[[2]int]*trrs.Matrix
-	// prewarm is the reused absolute-pair scratch of analyzeAlive's
-	// batched ExtendMatrices pre-warm.
-	prewarm []trrs.PairSpec
 	// aliveScratch backs aliveAntennas' per-hop result.
 	aliveScratch []int
 	// buf[ant][tx] holds the windowed snapshots.
@@ -289,8 +286,8 @@ func NewStreamer(cfg StreamConfig, rate float64, numAnts, numTx, numSub int) (*S
 	if cfg.Core.Array == nil {
 		return nil, fmt.Errorf("core: StreamConfig.Core.Array is required")
 	}
-	if rate <= 0 {
-		return nil, fmt.Errorf("core: stream rate must be positive, got %v", rate)
+	if !(rate > 0) || math.IsInf(rate, 1) {
+		return nil, fmt.Errorf("core: stream rate must be positive and finite, got %v", rate)
 	}
 	if numAnts <= 0 || numTx <= 0 || numSub <= 0 {
 		return nil, fmt.Errorf("core: stream shape (%d antennas, %d tx, %d tones) must be positive",
@@ -345,12 +342,11 @@ func NewStreamer(cfg StreamConfig, rate float64, numAnts, numTx, numSub int) (*S
 	st.t0 = time.Now()
 	st.lagOn = st.trc != nil || st.ob.lagH != nil
 	if !cfg.Recompute {
-		inc, err := trrs.NewIncrementalPrecision(rate, numAnts, numTx, st.wSlots, cfg.Core.Precision)
+		inc, err := trrs.NewIncremental(rate, numAnts, numTx, st.wSlots)
 		if err != nil {
 			return nil, err
 		}
 		inc.SetParallelism(cfg.Core.Parallelism)
-		inc.SetKernel(cfg.Core.Kernel)
 		inc.SetObs(cfg.Core.Obs)
 		inc.SetTrace(cfg.Core.Trace)
 		st.inc = inc
@@ -964,19 +960,6 @@ func (st *Streamer) analyzeAlive(alive []int, hop int64, ctx context.Context, dl
 	cfg.applyDefaults(st.rate)
 	eng, err := st.inc.EngineView(alive)
 	if err != nil {
-		return nil, err
-	}
-	// Pre-warm: refresh every pair this hop will request in one batched
-	// ExtendMatrices pass, so the stale rows of all pairs are filled
-	// block-major across pairs (each time block's planes read once) and
-	// the per-pair baseFor lookups below hit the generation fast path.
-	groups, ring := pairGeometry(cfg.Array)
-	abs := st.prewarm[:0]
-	for _, pr := range neededPairs(groups, ring, cfg.DisablePairAveraging) {
-		abs = append(abs, trrs.PairSpec{I: alive[pr.I], J: alive[pr.J]})
-	}
-	st.prewarm = abs
-	if _, err := st.inc.ExtendMatrices(abs); err != nil {
 		return nil, err
 	}
 	// Base matrices come from the incrementally maintained per-pair state,

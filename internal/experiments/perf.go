@@ -37,16 +37,6 @@ type PerfResult struct {
 	// self pairs by Hermitian reflection in one BaseMatrices call instead
 	// of computing every matrix from scratch.
 	SymmetricSpeedup float64 `json:"symmetric_speedup"`
-	// BatchedSpeedup is the single-core gain of the cross-pair batched
-	// bulk build with the vector kernel over per-pair sequential builds
-	// (three distinct pairs, no symmetry shortcuts).
-	BatchedSpeedup float64 `json:"batched_speedup"`
-	// VectorSpeedup is the single-pair serial-build gain of the opt-in
-	// vector (lag-sweep) kernel over the sequential reference.
-	VectorSpeedup float64 `json:"vector_speedup"`
-	// Float32Speedup is the single-pair serial-build gain of float32
-	// planes over float64, both on the vector-shaped sweep path.
-	Float32Speedup float64 `json:"float32_speedup"`
 	// HopNs and HopAllocsPerOp are one steady-state incremental hop
 	// (append W, drop W, refresh the pair matrix) at Parallelism 1. The
 	// hot path runs in ring- and matrix-owned storage, so allocs/op is 0
@@ -250,24 +240,6 @@ func Perf(scale Scale) *PerfResult {
 	})
 	symDedup := timeBest(reps, func() { e.BaseMatrices(symPairs, w) })
 
-	// Cross-pair batched build (three distinct pairs, one core): per-pair
-	// sequential builds vs one batched BaseMatrices pass with the vector
-	// kernel — the bulk-construction fast path.
-	bulkPairs := []trrs.PairSpec{{I: 0, J: 1}, {I: 0, J: 2}, {I: 1, J: 2}}
-	perPair := timeBest(reps, func() {
-		for _, p := range bulkPairs {
-			e.BaseMatrixSerial(p.I, p.J, w)
-		}
-	})
-	eVec := trrs.NewEngine(s)
-	eVec.SetParallelism(1)
-	eVec.SetKernel(trrs.KernelVector)
-	batchedVec := timeBest(reps, func() { eVec.BaseMatrices(bulkPairs, w) })
-	vector := timeBest(reps, func() { eVec.BaseMatrixSerial(0, 2, w) })
-	e32 := trrs.NewEnginePrecision(s, trrs.PrecisionFloat32)
-	e32.SetParallelism(1)
-	f32 := timeBest(reps, func() { e32.BaseMatrixSerial(0, 2, w) })
-
 	hopNs, hopAllocs := hopStats(s, w, reps)
 
 	oracleCfg := core.StreamConfig{Core: cfg, Recompute: true}
@@ -284,9 +256,6 @@ func Perf(scale Scale) *PerfResult {
 		BatchSpeedup:           float64(serial) / float64(parallel),
 		StreamSpeedup:          incremental / recompute,
 		SymmetricSpeedup:       float64(symNaive) / float64(symDedup),
-		BatchedSpeedup:         float64(perPair) / float64(batchedVec),
-		VectorSpeedup:          float64(serial) / float64(vector),
-		Float32Speedup:         float64(vector) / float64(f32),
 		HopNs:                  float64(hopNs.Nanoseconds()),
 		HopAllocsPerOp:         hopAllocs,
 		Stages:                 stageLatencies(s, incCfg),
@@ -306,12 +275,6 @@ func Perf(scale Scale) *PerfResult {
 		fmt.Sprintf("%.2fx", out.StreamSpeedup))
 	rep.AddRow("symmetric pairs dedup", "build time (1 core)", symDedup.Round(time.Microsecond).String(),
 		fmt.Sprintf("%.2fx", out.SymmetricSpeedup))
-	rep.AddRow("batched bulk build (vector)", "build time (1 core, 3 pairs)", batchedVec.Round(time.Microsecond).String(),
-		fmt.Sprintf("%.2fx", out.BatchedSpeedup))
-	rep.AddRow("vector kernel", "build time (1 core)", vector.Round(time.Microsecond).String(),
-		fmt.Sprintf("%.2fx", out.VectorSpeedup))
-	rep.AddRow("float32 planes", "build time (1 core)", f32.Round(time.Microsecond).String(),
-		fmt.Sprintf("%.2fx", out.Float32Speedup))
 	rep.AddRow("incremental hop", "steady-state cost", hopNs.Round(time.Microsecond).String(),
 		fmt.Sprintf("%.0f allocs/op", hopAllocs))
 	rep.AddNote("GOMAXPROCS=%d; trace %d slots at %.0f Hz, W=%d slots; on 1 core the parallel pool degenerates to the serial loop",

@@ -154,6 +154,12 @@ func (f *Flight) Offer(reason string, hop int64, detail any) bool {
 	if f == nil {
 		return false
 	}
+	return f.offer(reason, hop, detail)
+}
+
+// offer is Offer's out-of-line slow path, so the nil check inlines into
+// every call site.
+func (f *Flight) offer(reason string, hop int64, detail any) bool {
 	if f.cfg.Trigger != nil && !f.cfg.Trigger(reason) {
 		return false
 	}

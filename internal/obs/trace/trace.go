@@ -275,9 +275,14 @@ func (r *Recorder) Now() int64 {
 
 // Emit records one instant event stamped now.
 func (r *Recorder) Emit(k Kind, hop, frame, a, b int64) {
-	if r == nil {
-		return
+	if r != nil {
+		r.emitNow(k, hop, frame, a, b)
 	}
+}
+
+// emitNow is Emit's slow path, kept out of line so the nil check above
+// inlines into every call site (disabled tracing then costs one compare).
+func (r *Recorder) emitNow(k Kind, hop, frame, a, b int64) {
 	r.EmitAt(k, hop, frame, a, b, r.Now(), 0)
 }
 
@@ -319,6 +324,11 @@ func (r *Recorder) Start(k Kind, hop, frame int64) Span {
 	if r == nil {
 		return Span{}
 	}
+	return r.start(k, hop, frame)
+}
+
+// start is Start's out-of-line slow path (see emitNow).
+func (r *Recorder) start(k Kind, hop, frame int64) Span {
 	return Span{r: r, k: k, hop: hop, frame: frame, t0: r.Now()}
 }
 
@@ -328,9 +338,13 @@ func (s Span) End() { s.EndArgs(0, 0) }
 // EndArgs publishes the span with kind-specific args. Safe on the zero
 // Span.
 func (s Span) EndArgs(a, b int64) {
-	if s.r == nil {
-		return
+	if s.r != nil {
+		s.end(a, b)
 	}
+}
+
+// end is EndArgs' out-of-line slow path (see emitNow).
+func (s Span) end(a, b int64) {
 	s.r.EmitAt(s.k, s.hop, s.frame, a, b, s.t0, s.r.Now()-s.t0)
 }
 

@@ -11,9 +11,8 @@ import (
 // StreamFactory for production daemons running core.Streamer sessions.
 type CoreFactoryConfig struct {
 	// Template is the stream configuration every session starts from —
-	// analysis knobs (window, span, hop, deadline), engine knobs
-	// (Parallelism, Kernel, Precision) and observability wiring are all
-	// shared fleet-wide. Template.Core.Array is ignored; each session's
+	// analysis knobs (window, span, hop, deadline), the engine's
+	// Parallelism and observability wiring are all shared fleet-wide. Template.Core.Array is ignored; each session's
 	// geometry comes from ArrayFor.
 	Template core.StreamConfig
 	// ArrayFor maps a session's antenna count to its receive geometry
@@ -27,8 +26,7 @@ type CoreFactoryConfig struct {
 // from the spec's antenna count, and sessions carrying a checkpoint are
 // restored instead of started cold. Daemons that used to hand-roll this
 // closure (resolve array, copy config, branch on checkpoint) call this
-// instead, so new engine knobs — the TRRS kernel and plane precision —
-// reach every session the moment they land in core.Config.
+// instead, so every core.Config field reaches every session unchanged.
 func NewCoreFactory(cfg CoreFactoryConfig) (StreamFactory, error) {
 	if cfg.ArrayFor == nil {
 		return nil, fmt.Errorf("session: CoreFactoryConfig.ArrayFor is required")

@@ -8,7 +8,6 @@ import (
 
 	"rim/internal/array"
 	"rim/internal/core"
-	"rim/internal/trrs"
 )
 
 func testArrayFor(numAnts int) (*array.Array, error) {
@@ -19,8 +18,7 @@ func testArrayFor(numAnts int) (*array.Array, error) {
 }
 
 // TestNewCoreFactory exercises the canonical daemon factory: template
-// knobs (including the TRRS kernel and plane precision) reach every
-// session, the cold and checkpoint-restore paths both produce working
+// knobs (including the engine's Parallelism) reach every session, the cold and checkpoint-restore paths both produce working
 // streams, and an unresolvable antenna count surfaces as an error.
 func TestNewCoreFactory(t *testing.T) {
 	if _, err := NewCoreFactory(CoreFactoryConfig{}); err == nil {
@@ -29,8 +27,6 @@ func TestNewCoreFactory(t *testing.T) {
 	tmpl := core.StreamConfig{SpanSeconds: 2, HopSeconds: 0.25}
 	tmpl.Core.WindowSeconds = 0.3
 	tmpl.Core.Parallelism = 1
-	tmpl.Core.Kernel = trrs.KernelVector
-	tmpl.Core.Precision = trrs.PrecisionFloat32
 	factory, err := NewCoreFactory(CoreFactoryConfig{Template: tmpl, ArrayFor: testArrayFor})
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +42,7 @@ func TestNewCoreFactory(t *testing.T) {
 	}
 
 	// Feed enough random frames to cross a hop boundary; the stream must
-	// ingest and analyze without error on the float32 vector path.
+	// ingest and analyze without error.
 	rng := rand.New(rand.NewSource(9))
 	snap := make([][][]complex128, spec.NumAnts)
 	for a := range snap {

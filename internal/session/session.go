@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -26,9 +27,12 @@ type Spec struct {
 	NumSub  int
 }
 
+// validate rejects a spec no stream can run: every dimension must be
+// positive and the rate positive and finite (NaN and +Inf would pass a
+// plain sign test and then fail every hop's rate consistency check).
 func (s Spec) validate() error {
-	if s.Rate <= 0 || s.NumAnts <= 0 || s.NumTx <= 0 || s.NumSub <= 0 {
-		return fmt.Errorf("session: spec (%v Hz, %d antennas, %d tx, %d tones) must be positive",
+	if !(s.Rate > 0) || math.IsInf(s.Rate, 1) || s.NumAnts <= 0 || s.NumTx <= 0 || s.NumSub <= 0 {
+		return fmt.Errorf("session: spec (%v Hz, %d antennas, %d tx, %d tones) must be positive and finite",
 			s.Rate, s.NumAnts, s.NumTx, s.NumSub)
 	}
 	return nil

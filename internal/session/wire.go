@@ -199,9 +199,12 @@ func (wr *WireReader) Read() (*Msg, error) {
 	case MsgFrame:
 		return parseFrame(p)
 	case MsgClose:
-		id, _, err := parseString(p)
+		id, rest, err := parseString(p)
 		if err != nil {
 			return nil, err
+		}
+		if len(rest) != 0 {
+			return nil, fmt.Errorf("session: MsgClose has %d trailing bytes", len(rest))
 		}
 		return &Msg{Type: MsgClose, ID: id}, nil
 	}
@@ -235,6 +238,9 @@ func parseOpen(p []byte) (*Msg, error) {
 	if err := checkDims(m.Spec.NumAnts, m.Spec.NumTx, m.Spec.NumSub); err != nil {
 		return nil, err
 	}
+	if err := m.Spec.validate(); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 
@@ -259,6 +265,9 @@ func parseFrame(p []byte) (*Msg, error) {
 		return nil, fmt.Errorf("session: MsgFrame payload %d bytes, want %d", len(p), want)
 	}
 	m := &Msg{Type: MsgFrame, ID: id, Spec: Spec{NumAnts: ants, NumTx: tx, NumSub: tones}}
+	if ants%8 != 0 && p[bm-1]>>(ants%8) != 0 {
+		return nil, fmt.Errorf("session: MsgFrame missing bitmap flags antennas beyond %d", ants)
+	}
 	m.Missing = make([]bool, ants)
 	anyMissing := false
 	for a := 0; a < ants; a++ {

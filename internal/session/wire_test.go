@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"strings"
 	"testing"
 )
@@ -134,5 +135,30 @@ func TestWireTruncatedPayloadIsError(t *testing.T) {
 	b := buf.Bytes()
 	if _, err := NewWireReader(bytes.NewReader(b[:len(b)-5])).Read(); err == nil {
 		t.Fatal("truncated payload accepted")
+	}
+}
+
+// TestSpecRejectsBadRate pins the rate check in both places a spec enters
+// the daemon: Spec.validate and the MsgOpen decoder. NaN and ±Inf must be
+// refused like zero and negative rates.
+func TestSpecRejectsBadRate(t *testing.T) {
+	for _, tc := range []struct {
+		rate float64
+		ok   bool
+	}{
+		{100, true}, {0, false}, {-1, false},
+		{math.NaN(), false}, {math.Inf(1), false}, {math.Inf(-1), false},
+	} {
+		spec := Spec{Rate: tc.rate, NumAnts: 3, NumTx: 1, NumSub: 8}
+		if err := spec.validate(); (err == nil) != tc.ok {
+			t.Errorf("validate(rate %v): err = %v, want ok=%v", tc.rate, err, tc.ok)
+		}
+		var buf bytes.Buffer
+		if err := WriteOpen(&buf, "s", spec); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewWireReader(&buf).Read(); (err == nil) != tc.ok {
+			t.Errorf("parseOpen(rate %v): err = %v, want ok=%v", tc.rate, err, tc.ok)
+		}
 	}
 }

@@ -1,37 +1,34 @@
 package sigproc
 
-// Lag-sweep TRRS kernels. A base-matrix row evaluates |<a, b_k>|² for one
+// Lag-sweep TRRS kernel. A base-matrix row evaluates |<a, b_k>|² for one
 // fixed snapshot a against a run of consecutive snapshots b_k — in the SoA
 // planes those b_k are adjacent tones-sized blocks, so the whole sweep is
-// one strided walk over contiguous memory. The sweep entry points below
-// amortize the per-call cost (prologue, tail-mask setup) over the entire
-// lag band instead of paying it once per matrix entry, which is where the
-// AVX2 build gets most of its headroom over per-entry vector calls.
+// one strided walk over contiguous memory. The sweep amortizes the
+// per-call cost (prologue, tail-mask setup) over the entire lag band
+// instead of paying it once per matrix entry, which is where the AVX2
+// build gets most of its headroom over per-entry vector calls.
 //
-// On amd64 with AVX2+FMA (runtime-detected, see VecSupported) the sweeps
-// dispatch to hand-written assembly: 4 float64 or 8 float32 lanes, four
-// FMA accumulator registers per slot, masked tail loads from a static
-// table so no tail element is ever touched out of bounds. Everywhere else
-// they fall back to the scalar kernels. Both paths accumulate lanewise and
-// reduce pairwise, so they agree with the sequential kernels only to
-// rounding — the trrs vector kernel that consumes them is opt-in and gated
-// at 1e-12 relative (float64) by the equivalence suite, never the
-// bit-exact default.
+// On amd64 with AVX2+FMA (runtime-detected, see VecSupported) the sweep
+// dispatches to hand-written assembly: 4 float64 lanes, four FMA
+// accumulator registers per slot, masked tail loads from a static table so
+// no tail element is ever touched out of bounds. Everywhere else it falls
+// back to one DotSqSoA call per slot. The assembly accumulates lanewise
+// and reduces pairwise, so it agrees with DotSqSoA only to rounding: the
+// trrs row fill that consumes it is gated at 1e-12 relative against the
+// sequential oracle its tests keep.
 
-// VecSupported reports whether the vectorized sweep kernels are backed by
-// AVX2+FMA assembly on this machine. When false the sweeps still work
-// (scalar fallback), but trrs.KernelVector buys nothing over the default;
-// callers gating benchmarks or kernel selection on real SIMD should check
-// this.
+// VecSupported reports whether the sweep is backed by AVX2+FMA assembly on
+// this machine. When false the sweep still works (per-slot DotSqSoA
+// fallback); callers gating benchmarks on real SIMD should check this.
 func VecSupported() bool { return vecSupported }
 
 // checkSweep validates one sweep call: a must hold tones elements, and
 // every b_k block [off+k*stride, off+k*stride+tones) for k in [0, count)
 // must lie inside the b planes. The offsets are monotonic in k, so the two
 // end blocks bound them all.
-func checkSweep(name string, count, na, nai, nbr, nbi, off, stride, tones int) {
+func checkSweep(count, na, nai, nbr, nbi, off, stride, tones int) {
 	if tones < 0 || na < tones || nai < tones {
-		panic("sigproc: " + name + " a-plane shorter than tones")
+		panic("sigproc: DotSqSweepSoA a-plane shorter than tones")
 	}
 	if count == 0 {
 		return
@@ -41,7 +38,7 @@ func checkSweep(name string, count, na, nai, nbr, nbi, off, stride, tones int) {
 		lo, hi = hi, lo
 	}
 	if lo < 0 || hi+tones > nbr || hi+tones > nbi {
-		panic("sigproc: " + name + " b-plane range out of bounds")
+		panic("sigproc: DotSqSweepSoA b-plane range out of bounds")
 	}
 }
 
@@ -50,40 +47,20 @@ func checkSweep(name string, count, na, nai, nbr, nbi, off, stride, tones int) {
 // off+k*stride+tones]. stride may be negative (the TRRS lag sweep walks
 // earlier slots as the lag grows). Out-of-bounds geometry panics.
 func DotSqSweepSoA(out, ar, ai, br, bi []float64, off, stride, tones int) {
-	checkSweep("DotSqSweepSoA", len(out), len(ar), len(ai), len(br), len(bi), off, stride, tones)
+	checkSweep(len(out), len(ar), len(ai), len(br), len(bi), off, stride, tones)
 	if len(out) == 0 || tones == 0 {
 		return
 	}
 	dotSqSweep(out, ar, ai, br, bi, off, stride, tones)
 }
 
-// DotSqSweepSoA32 is DotSqSweepSoA over float32 planes, accumulating each
-// inner product in float32 (8 lanes on AVX2) and adding the float64 |·|²
-// into out.
-func DotSqSweepSoA32(out []float64, ar, ai, br, bi []float32, off, stride, tones int) {
-	checkSweep("DotSqSweepSoA32", len(out), len(ar), len(ai), len(br), len(bi), off, stride, tones)
-	if len(out) == 0 || tones == 0 {
-		return
-	}
-	dotSqSweep32(out, ar, ai, br, bi, off, stride, tones)
-}
-
-// dotSqSweepGeneric is the portable sweep: one scalar kernel call per
-// slot. It is the non-amd64 implementation and the oracle the assembly is
-// tested against (to rounding; the lane reduction differs).
+// dotSqSweepGeneric is the portable sweep: one DotSqSoA call per slot. It
+// is the implementation without AVX2 and the oracle the assembly is tested
+// against (to rounding; the lane reduction differs).
 func dotSqSweepGeneric(out, ar, ai, br, bi []float64, off, stride, tones int) {
 	ar, ai = ar[:tones], ai[:tones]
 	for k := range out {
 		o := off + k*stride
 		out[k] += DotSqSoA(ar, ai, br[o:o+tones], bi[o:o+tones])
-	}
-}
-
-// dotSqSweep32Generic is the portable float32 sweep.
-func dotSqSweep32Generic(out []float64, ar, ai, br, bi []float32, off, stride, tones int) {
-	ar, ai = ar[:tones], ai[:tones]
-	for k := range out {
-		o := off + k*stride
-		out[k] += DotSqSoA32(ar, ai, br[o:o+tones], bi[o:o+tones])
 	}
 }

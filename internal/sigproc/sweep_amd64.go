@@ -1,6 +1,6 @@
 package sigproc
 
-// Runtime CPU feature detection for the AVX2+FMA sweep kernels. The
+// Runtime CPU feature detection for the AVX2+FMA sweep kernel. The
 // repository is dependency-free, so the CPUID/XGETBV probes are the two
 // tiny assembly stubs in sweep_amd64.s rather than x/sys/cpu.
 
@@ -37,15 +37,12 @@ func detectVec() bool {
 	return b&avx2 != 0
 }
 
-// The assembly entry points. The Go wrappers in sweep.go have already
-// bounds-checked the full strided range, so the kernels receive raw base
+// The assembly entry point. The Go wrapper in sweep.go has already
+// bounds-checked the full strided range, so the kernel receives raw base
 // pointers; noescape keeps the hot path allocation-free.
 
 //go:noescape
 func dotSqSweepAVX2(out, ar, ai, br, bi *float64, tones, count, stride int)
-
-//go:noescape
-func dotSqSweep32AVX2(out *float64, ar, ai, br, bi *float32, tones, count, stride int)
 
 func dotSqSweep(out, ar, ai, br, bi []float64, off, stride, tones int) {
 	if !vecSupported {
@@ -53,12 +50,4 @@ func dotSqSweep(out, ar, ai, br, bi []float64, off, stride, tones int) {
 		return
 	}
 	dotSqSweepAVX2(&out[0], &ar[0], &ai[0], &br[off], &bi[off], tones, len(out), stride)
-}
-
-func dotSqSweep32(out []float64, ar, ai, br, bi []float32, off, stride, tones int) {
-	if !vecSupported {
-		dotSqSweep32Generic(out, ar, ai, br, bi, off, stride, tones)
-		return
-	}
-	dotSqSweep32AVX2(&out[0], &ar[0], &ai[0], &br[off], &bi[off], tones, len(out), stride)
 }

@@ -1,15 +1,14 @@
 #include "textflag.h"
 
-// AVX2+FMA lag-sweep kernels (see sweep.go for the contract). Layout per
+// AVX2+FMA lag-sweep kernel (see sweep.go for the contract). Layout per
 // slot: four FMA accumulators — re = Σ ar·br, re' = Σ ai·bi, im = Σ ar·bi,
 // im' = −Σ ai·br — combined and reduced pairwise after the tone loop, then
 // |re|²+|im|² added into the float64 out slot. Tails shorter than a vector
-// are loaded through VMASKMOV with a mask from the static tables below, so
-// the kernels never read past tones elements.
+// are loaded through VMASKMOV with a mask from the static table below, so
+// the kernel never reads past tones elements.
 
-// Masked-tail load tables: maskTab64 yields, at offset (4-r)*8, a 4-lane
-// qword mask with the first r lanes set; maskTab32 likewise for 8 dword
-// lanes at offset (8-r)*4.
+// Masked-tail load table: at offset (4-r)*8 it yields a 4-lane qword mask
+// with the first r lanes set.
 GLOBL maskTab64<>(SB), RODATA, $64
 DATA maskTab64<>+0(SB)/8, $0xFFFFFFFFFFFFFFFF
 DATA maskTab64<>+8(SB)/8, $0xFFFFFFFFFFFFFFFF
@@ -19,16 +18,6 @@ DATA maskTab64<>+32(SB)/8, $0x0000000000000000
 DATA maskTab64<>+40(SB)/8, $0x0000000000000000
 DATA maskTab64<>+48(SB)/8, $0x0000000000000000
 DATA maskTab64<>+56(SB)/8, $0x0000000000000000
-
-GLOBL maskTab32<>(SB), RODATA, $64
-DATA maskTab32<>+0(SB)/8, $0xFFFFFFFFFFFFFFFF
-DATA maskTab32<>+8(SB)/8, $0xFFFFFFFFFFFFFFFF
-DATA maskTab32<>+16(SB)/8, $0xFFFFFFFFFFFFFFFF
-DATA maskTab32<>+24(SB)/8, $0xFFFFFFFFFFFFFFFF
-DATA maskTab32<>+32(SB)/8, $0x0000000000000000
-DATA maskTab32<>+40(SB)/8, $0x0000000000000000
-DATA maskTab32<>+48(SB)/8, $0x0000000000000000
-DATA maskTab32<>+56(SB)/8, $0x0000000000000000
 
 // func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -129,89 +118,5 @@ sweepReduce:
 	JNE  sweepSlot
 
 sweepDone:
-	VZEROUPPER
-	RET
-
-// func dotSqSweep32AVX2(out *float64, ar, ai, br, bi *float32, tones, count, stride int)
-TEXT ·dotSqSweep32AVX2(SB), NOSPLIT, $0-64
-	MOVQ out+0(FP), DI
-	MOVQ ar+8(FP), SI
-	MOVQ ai+16(FP), BX
-	MOVQ br+24(FP), R8
-	MOVQ bi+32(FP), R9
-	MOVQ tones+40(FP), R11
-	MOVQ count+48(FP), R12
-	MOVQ stride+56(FP), R13
-	SHLQ $2, R13
-	TESTQ R12, R12
-	JE   sweep32Done
-
-	MOVQ R11, CX
-	ANDQ $7, CX
-	MOVQ $8, DX
-	SUBQ CX, DX
-	LEAQ maskTab32<>(SB), R10
-	VMOVUPS (R10)(DX*4), Y8
-	MOVQ R11, DX
-	ANDQ $-8, DX
-
-sweep32Slot:
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
-	XORQ AX, AX
-	CMPQ AX, DX
-	JGE  sweep32Tail
-
-sweep32Loop8:
-	VMOVUPS (SI)(AX*4), Y0
-	VMOVUPS (BX)(AX*4), Y1
-	VMOVUPS (R8)(AX*4), Y2
-	VMOVUPS (R9)(AX*4), Y3
-	VFMADD231PS Y2, Y0, Y4
-	VFMADD231PS Y3, Y1, Y5
-	VFMADD231PS Y3, Y0, Y6
-	VFNMADD231PS Y2, Y1, Y7
-	ADDQ $8, AX
-	CMPQ AX, DX
-	JLT  sweep32Loop8
-
-sweep32Tail:
-	TESTQ CX, CX
-	JE   sweep32Reduce
-	VMASKMOVPS (SI)(AX*4), Y8, Y0
-	VMASKMOVPS (BX)(AX*4), Y8, Y1
-	VMASKMOVPS (R8)(AX*4), Y8, Y2
-	VMASKMOVPS (R9)(AX*4), Y8, Y3
-	VFMADD231PS Y2, Y0, Y4
-	VFMADD231PS Y3, Y1, Y5
-	VFMADD231PS Y3, Y0, Y6
-	VFNMADD231PS Y2, Y1, Y7
-
-sweep32Reduce:
-	VADDPS Y5, Y4, Y4
-	VADDPS Y7, Y6, Y6
-	VEXTRACTF128 $1, Y4, X1
-	VADDPS X1, X4, X4
-	VHADDPS X4, X4, X4
-	VHADDPS X4, X4, X4
-	VEXTRACTF128 $1, Y6, X2
-	VADDPS X2, X6, X6
-	VHADDPS X6, X6, X6
-	VHADDPS X6, X6, X6
-	VCVTSS2SD X4, X4, X4     // promote before |·|², matching DotSqSoA32
-	VCVTSS2SD X6, X6, X6
-	VMULSD X4, X4, X4
-	VFMADD231SD X6, X6, X4
-	VADDSD (DI), X4, X4
-	MOVSD X4, (DI)
-	ADDQ $8, DI
-	ADDQ R13, R8
-	ADDQ R13, R9
-	DECQ R12
-	JNE  sweep32Slot
-
-sweep32Done:
 	VZEROUPPER
 	RET

@@ -2,14 +2,10 @@
 
 package sigproc
 
-// Non-amd64 builds have no vector sweep backend; the portable scalar
-// sweeps are the implementation.
+// Non-amd64 builds have no vector sweep backend; the portable per-slot
+// sweep is the implementation.
 const vecSupported = false
 
 func dotSqSweep(out, ar, ai, br, bi []float64, off, stride, tones int) {
 	dotSqSweepGeneric(out, ar, ai, br, bi, off, stride, tones)
-}
-
-func dotSqSweep32(out []float64, ar, ai, br, bi []float32, off, stride, tones int) {
-	dotSqSweep32Generic(out, ar, ai, br, bi, off, stride, tones)
 }

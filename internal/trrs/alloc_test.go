@@ -121,8 +121,8 @@ func TestExtendMatrixReusesBacking(t *testing.T) {
 }
 
 // TestExtendMatricesAllocFree extends the zero-allocation contract to the
-// cross-pair batched refresh: once the window geometry and the batch
-// scratch have warmed up, a hop that refreshes all three pairs through
+// multi-pair refresh: once the window geometry and the reused result
+// slice have warmed up, a hop that refreshes all three pairs through
 // ExtendMatrices performs no allocation at Parallelism 1.
 func TestExtendMatricesAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))

@@ -16,8 +16,8 @@ func benchFixture(tb testing.TB) (*csi.Series, int) {
 }
 
 // BenchmarkTRRSMatrixSerial is the single-threaded base-matrix computation
-// with the default (sequential, bit-exact) SoA kernel — the reference the
-// parallel and symmetry numbers are reported against.
+// through the lag sweep — the reference the parallel and symmetry numbers
+// are reported against.
 func BenchmarkTRRSMatrixSerial(b *testing.B) {
 	s, w := benchFixture(b)
 	e := NewEngine(s)
@@ -36,18 +36,6 @@ func BenchmarkTRRSMatrixAoSRef(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkRows = ref.matrix(0, 2, w)
-	}
-}
-
-// BenchmarkTRRSMatrixUnrolled is the serial build with the opt-in
-// 4-accumulator kernel (1e-12-equivalent, not bit-exact).
-func BenchmarkTRRSMatrixUnrolled(b *testing.B) {
-	s, w := benchFixture(b)
-	e := NewEngine(s)
-	e.SetKernel(KernelUnrolled4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkMatrix = e.BaseMatrixSerial(0, 2, w)
 	}
 }
 
@@ -178,103 +166,26 @@ var (
 	sinkRows     [][]float64
 )
 
-// BenchmarkTRRSMatrixVector is the serial build with the opt-in vector
-// (lag-sweep) kernel — AVX2+FMA assembly where supported.
-func BenchmarkTRRSMatrixVector(b *testing.B) {
+// BenchmarkTRRSMatrixSeqOracle is the sequential row-fill oracle the
+// tests keep (one Engine.Base call per entry) — the denominator of the lag
+// sweep's speedup.
+func BenchmarkTRRSMatrixSeqOracle(b *testing.B) {
 	s, w := benchFixture(b)
 	e := NewEngine(s)
-	e.SetKernel(KernelVector)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkMatrix = e.BaseMatrixSerial(0, 2, w)
-	}
-}
-
-// BenchmarkTRRSMatrixUnrolled8 is the serial build with the 8-accumulator
-// scalar kernel (the vector-shaped reference; measured slower than
-// sequential on scalar FP ports — kept honest in BENCH_trrs.json).
-func BenchmarkTRRSMatrixUnrolled8(b *testing.B) {
-	s, w := benchFixture(b)
-	e := NewEngine(s)
-	e.SetKernel(KernelUnrolled8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkMatrix = e.BaseMatrixSerial(0, 2, w)
-	}
-}
-
-// BenchmarkTRRSMatrixFloat32 is the serial build on float32 planes (the
-// float32 sweep kernel: half the memory traffic, twice the lanes).
-func BenchmarkTRRSMatrixFloat32(b *testing.B) {
-	s, w := benchFixture(b)
-	e := NewEnginePrecision(s, PrecisionFloat32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkMatrix = e.BaseMatrixSerial(0, 2, w)
+		sinkRows = seqMatrix(e, 0, 2, w)
 	}
 }
 
 // bulkPairs is the three-distinct-pair workload of a linear array, with
-// no symmetry shortcuts — the cross-pair batching benchmark set.
+// no symmetry shortcuts.
 var bulkPairs = []PairSpec{{I: 0, J: 1}, {I: 0, J: 2}, {I: 1, J: 2}}
 
-// BenchmarkTRRSMatricesPerPair is the pre-batching build shape: each pair
-// built in its own single-pair pass (sequential kernel, one core) — the
-// denominator of the batched-build speedup.
-func BenchmarkTRRSMatricesPerPair(b *testing.B) {
-	s, w := benchFixture(b)
-	e := NewEngine(s)
-	e.SetParallelism(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, p := range bulkPairs {
-			sinkMatrix = e.BaseMatrixSerial(p.I, p.J, w)
-		}
-	}
-}
-
-// BenchmarkTRRSMatricesBatched is the same three pairs through the
-// cross-pair batched schedule (sequential kernel, one core) — isolates
-// the layout/ordering effect from the kernel change.
-func BenchmarkTRRSMatricesBatched(b *testing.B) {
-	s, w := benchFixture(b)
-	e := NewEngine(s)
-	e.SetParallelism(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkMatrices = e.BaseMatrices(bulkPairs, w)
-	}
-}
-
-// BenchmarkTRRSMatricesBatchedVector is the batched build with the vector
-// kernel — the new fast path for bulk construction.
-func BenchmarkTRRSMatricesBatchedVector(b *testing.B) {
-	s, w := benchFixture(b)
-	e := NewEngine(s)
-	e.SetParallelism(1)
-	e.SetKernel(KernelVector)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkMatrices = e.BaseMatrices(bulkPairs, w)
-	}
-}
-
-// BenchmarkTRRSMatricesBatchedFloat32 is the batched build on float32
-// planes.
-func BenchmarkTRRSMatricesBatchedFloat32(b *testing.B) {
-	s, w := benchFixture(b)
-	e := NewEnginePrecision(s, PrecisionFloat32)
-	e.SetParallelism(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkMatrices = e.BaseMatrices(bulkPairs, w)
-	}
-}
-
-// BenchmarkTRRSIncrementalHopBatched is the steady-state hop refreshing
-// all three pairs through the batched ExtendMatrices (Parallelism 1,
-// zero allocs — see TestExtendMatricesAllocFree).
-func BenchmarkTRRSIncrementalHopBatched(b *testing.B) {
+// BenchmarkTRRSIncrementalHopPairs is the steady-state hop refreshing all
+// three pairs through ExtendMatrices (Parallelism 1, zero allocs — see
+// TestExtendMatricesAllocFree).
+func BenchmarkTRRSIncrementalHopPairs(b *testing.B) {
 	s, w := benchFixture(b)
 	const hop = 50
 	inc, err := NewIncremental(s.Rate, s.NumAnts, s.NumTx, w)

@@ -2,6 +2,7 @@ package trrs
 
 import (
 	"fmt"
+	"math"
 
 	"rim/internal/obs"
 	"rim/internal/obs/trace"
@@ -53,39 +54,26 @@ type Incremental struct {
 	numAnt int
 	w      int
 	par    int
-	kernel Kernel
 	// tones is the uniform per-snapshot vector length, learned from the
 	// first Append (-1 before).
 	tones int
-	// prec selects the ring-plane precision; in float32 mode the
-	// rePlane32/imPlane32 planes hold the window and the float64 planes
-	// stay nil (conversion happens once, in Append).
-	prec Precision
 	// rePlane[ant][tx] / imPlane[ant][tx] are the SoA ring planes; the
 	// live window occupies [head·tones, (head+n)·tones) where
 	// n = end − start. len(plane) is always (head+n)·tones.
-	rePlane, imPlane     [][][]float64
-	rePlane32, imPlane32 [][][]float32
-	head                 int
-	start, end           int
-	mats                 map[PairSpec]*incMat
+	rePlane, imPlane [][][]float64
+	head             int
+	start, end       int
+	mats             map[PairSpec]*incMat
 
 	// view is the cached full-array engine ExtendMatrix refreshes in
 	// place every call (EngineView allocates fresh ones for external
-	// callers); viewAnts is its identity antenna list. staleScratch is
-	// the reused stale-row index buffer.
-	view         *Engine
-	viewAnts     []int
-	staleScratch []int
-
-	// ExtendMatrices scratch, reused across hops so the batched refresh
-	// stays allocation-free in steady state: the returned matrices, the
-	// pair-major stale work list with per-pair segment offsets, and the
-	// row-major interleaved fill order.
-	batchOut   []*Matrix
-	batchWork  []batchItem
-	batchSeg   []int
-	batchOrder []batchItem
+	// callers); viewAnts is its identity antenna list. staleJobs is the
+	// reused stale-row work list and extendOut the reused ExtendMatrices
+	// result, so a steady-state hop allocates nothing.
+	view      *Engine
+	viewAnts  []int
+	staleJobs []rowJob
+	extendOut []*Matrix
 
 	// Observability handles (nil = unobserved): per-ExtendMatrix rows
 	// carried over untouched vs invalidated-and-recomputed, plus the
@@ -115,18 +103,12 @@ type incMat struct {
 
 // NewIncremental builds an empty incremental engine for CSI with the given
 // shape. w is the one-sided lag window of the maintained matrices, in
-// slots; it must match the W the analysis will ask for.
+// slots; it must match the W the analysis will ask for. The rate must be
+// positive and finite: a NaN or infinite rate would be stamped on every
+// matrix and fail every later consistency check.
 func NewIncremental(rate float64, numAnts, numTx, w int) (*Incremental, error) {
-	return NewIncrementalPrecision(rate, numAnts, numTx, w, PrecisionFloat64)
-}
-
-// NewIncrementalPrecision is NewIncremental with an explicit ring-plane
-// precision. PrecisionFloat32 converts snapshots to float32 once in
-// Append and runs every row fill through the float32 sweep kernels; see
-// Precision for the error budget.
-func NewIncrementalPrecision(rate float64, numAnts, numTx, w int, prec Precision) (*Incremental, error) {
-	if rate <= 0 {
-		return nil, fmt.Errorf("trrs: incremental rate must be positive, got %v", rate)
+	if !(rate > 0) || math.IsInf(rate, 1) {
+		return nil, fmt.Errorf("trrs: incremental rate must be positive and finite, got %v", rate)
 	}
 	if numAnts <= 0 || numTx <= 0 {
 		return nil, fmt.Errorf("trrs: incremental shape (%d antennas, %d tx) must be positive", numAnts, numTx)
@@ -135,34 +117,21 @@ func NewIncrementalPrecision(rate float64, numAnts, numTx, w int, prec Precision
 		return nil, fmt.Errorf("trrs: incremental lag window W=%d must be non-negative", w)
 	}
 	inc := &Incremental{
-		rate:   rate,
-		numAnt: numAnts,
-		numTx:  numTx,
-		w:      w,
-		prec:   prec,
-		tones:  -1,
-		mats:   map[PairSpec]*incMat{},
+		rate:    rate,
+		numAnt:  numAnts,
+		numTx:   numTx,
+		w:       w,
+		tones:   -1,
+		mats:    map[PairSpec]*incMat{},
+		rePlane: make([][][]float64, numAnts),
+		imPlane: make([][][]float64, numAnts),
 	}
-	if prec == PrecisionFloat32 {
-		inc.rePlane32 = make([][][]float32, numAnts)
-		inc.imPlane32 = make([][][]float32, numAnts)
-		for a := 0; a < numAnts; a++ {
-			inc.rePlane32[a] = make([][]float32, numTx)
-			inc.imPlane32[a] = make([][]float32, numTx)
-		}
-		return inc, nil
-	}
-	inc.rePlane = make([][][]float64, numAnts)
-	inc.imPlane = make([][][]float64, numAnts)
 	for a := 0; a < numAnts; a++ {
 		inc.rePlane[a] = make([][]float64, numTx)
 		inc.imPlane[a] = make([][]float64, numTx)
 	}
 	return inc, nil
 }
-
-// Precision returns the ring-plane precision.
-func (inc *Incremental) Precision() Precision { return inc.prec }
 
 // SetParallelism sets the worker count used when refreshing matrices
 // (same semantics as Engine.SetParallelism).
@@ -172,13 +141,6 @@ func (inc *Incremental) SetParallelism(n int) {
 	}
 	inc.par = n
 }
-
-// SetKernel selects the inner-product kernel used by matrix refreshes and
-// every EngineView (same semantics as Engine.SetKernel).
-func (inc *Incremental) SetKernel(k Kernel) { inc.kernel = k }
-
-// Kernel returns the selected inner-product kernel.
-func (inc *Incremental) Kernel() Kernel { return inc.kernel }
 
 // SetObs points the incremental engine's utilization counters at a
 // registry: rows reused vs invalidated per ExtendMatrix
@@ -230,12 +192,7 @@ func (inc *Incremental) ensureTail(n int) {
 		return
 	}
 	need := (inc.head + n + 1) * tones
-	var c int
-	if inc.prec == PrecisionFloat32 {
-		c = cap(inc.rePlane32[0][0])
-	} else {
-		c = cap(inc.rePlane[0][0])
-	}
+	c := cap(inc.rePlane[0][0])
 	if c >= need {
 		return
 	}
@@ -244,15 +201,6 @@ func (inc *Incremental) ensureTail(n int) {
 		liveLo, liveHi := inc.head*tones, (inc.head+n)*tones
 		for a := 0; a < inc.numAnt; a++ {
 			for tx := 0; tx < inc.numTx; tx++ {
-				if inc.prec == PrecisionFloat32 {
-					p := inc.rePlane32[a][tx]
-					copy(p[:n*tones], p[liveLo:liveHi])
-					inc.rePlane32[a][tx] = p[:n*tones]
-					p = inc.imPlane32[a][tx]
-					copy(p[:n*tones], p[liveLo:liveHi])
-					inc.imPlane32[a][tx] = p[:n*tones]
-					continue
-				}
 				p := inc.rePlane[a][tx]
 				copy(p[:n*tones], p[liveLo:liveHi])
 				inc.rePlane[a][tx] = p[:n*tones]
@@ -270,15 +218,6 @@ func (inc *Incremental) ensureTail(n int) {
 	liveLo, liveHi := inc.head*tones, (inc.head+n)*tones
 	for a := 0; a < inc.numAnt; a++ {
 		for tx := 0; tx < inc.numTx; tx++ {
-			if inc.prec == PrecisionFloat32 {
-				np := make([]float32, n*tones, newCap)
-				copy(np, inc.rePlane32[a][tx][liveLo:liveHi])
-				inc.rePlane32[a][tx] = np
-				np = make([]float32, n*tones, newCap)
-				copy(np, inc.imPlane32[a][tx][liveLo:liveHi])
-				inc.imPlane32[a][tx] = np
-				continue
-			}
 			np := make([]float64, n*tones, newCap)
 			copy(np, inc.rePlane[a][tx][liveLo:liveHi])
 			inc.rePlane[a][tx] = np
@@ -321,19 +260,6 @@ func (inc *Incremental) Append(snapshot [][][]complex128) error {
 	o := (inc.head + n) * inc.tones
 	for a := range snapshot {
 		for tx := 0; tx < inc.numTx; tx++ {
-			if inc.prec == PrecisionFloat32 {
-				reP := inc.rePlane32[a][tx][:o+inc.tones]
-				imP := inc.imPlane32[a][tx][:o+inc.tones]
-				dstRe, dstIm := reP[o:], imP[o:]
-				for k, c := range snapshot[a][tx] {
-					dstRe[k] = float32(real(c))
-					dstIm[k] = float32(imag(c))
-				}
-				sigproc.NormalizeSoA32(dstRe, dstIm)
-				inc.rePlane32[a][tx] = reP
-				inc.imPlane32[a][tx] = imP
-				continue
-			}
 			reP := inc.rePlane[a][tx][:o+inc.tones]
 			imP := inc.imPlane[a][tx][:o+inc.tones]
 			dstRe, dstIm := reP[o:], imP[o:]
@@ -377,8 +303,6 @@ func (inc *Incremental) viewInto(e *Engine, ants []int) error {
 	e.numTx = inc.numTx
 	e.slots = inc.NumSlots()
 	e.tones = tones
-	e.prec = inc.prec
-	e.kernel = inc.kernel
 	e.par = inc.par
 	e.rowsFilled = inc.rowsFilled
 	e.poolGauge = inc.poolGauge
@@ -390,11 +314,6 @@ func (inc *Incremental) viewInto(e *Engine, ants []int) error {
 			return fmt.Errorf("trrs: EngineView antenna %d out of range [0,%d)", a, inc.numAnt)
 		}
 		for tx := 0; tx < inc.numTx; tx++ {
-			if inc.prec == PrecisionFloat32 {
-				e.re32[k][tx] = inc.rePlane32[a][tx][lo:hi]
-				e.im32[k][tx] = inc.imPlane32[a][tx][lo:hi]
-				continue
-			}
 			e.re[k][tx] = inc.rePlane[a][tx][lo:hi]
 			e.im[k][tx] = inc.imPlane[a][tx][lo:hi]
 		}
@@ -423,19 +342,10 @@ func (inc *Incremental) EngineView(ants []int) (*Engine, error) {
 	return e, nil
 }
 
-// newViewShell allocates an engine shell with the right plane precision
-// for viewInto to point at the window.
+// newViewShell allocates an engine shell for viewInto to point at the
+// window.
 func (inc *Incremental) newViewShell(numAnts int) *Engine {
 	e := &Engine{}
-	if inc.prec == PrecisionFloat32 {
-		e.re32 = make([][][]float32, numAnts)
-		e.im32 = make([][][]float32, numAnts)
-		for k := range e.re32 {
-			e.re32[k] = make([][]float32, inc.numTx)
-			e.im32[k] = make([][]float32, inc.numTx)
-		}
-		return e
-	}
 	e.re = make([][][]float64, numAnts)
 	e.im = make([][][]float64, numAnts)
 	for k := range e.re {
@@ -476,10 +386,9 @@ func (inc *Incremental) ExtendMatrix(i, j int) (*Matrix, error) {
 	if im.m != nil && im.start == inc.start && im.end == inc.end {
 		return im.m, nil
 	}
-	stale := inc.staleScratch[:0]
-	m, stale := inc.carry(im, i, j, stale)
-	inc.staleScratch = stale
-	inc.fullView().fillRowsSharded(m, stale)
+	m, jobs := inc.carry(im, i, j, inc.staleJobs[:0])
+	inc.staleJobs = jobs
+	inc.fullView().fillRowsSharded(m, jobs)
 	return m, nil
 }
 
@@ -496,12 +405,10 @@ func (inc *Incremental) matFor(i, j int) *incMat {
 
 // carry advances pair (i, j)'s maintained matrix to the current window:
 // it sizes the next-generation backing, copies every row still valid from
-// the previous generation, appends the local indices of the stale rows to
-// stale, commits the generation swap and the reuse/stale accounting, and
-// returns the new matrix with its stale rows NOT yet computed — the
-// caller fills them (fillRowsSharded for a single pair, fillRowsBatch for
-// a cross-pair batch).
-func (inc *Incremental) carry(im *incMat, i, j int, stale []int) (*Matrix, []int) {
+// the previous generation, appends one job per stale row to jobs, commits
+// the generation swap and the reuse/stale accounting, and returns the new
+// matrix with its stale rows NOT yet computed — the caller fills them.
+func (inc *Incremental) carry(im *incMat, i, j int, jobs []rowJob) (*Matrix, []rowJob) {
 	tSlots := inc.NumSlots()
 	width := 2*inc.w + 1
 	nxt := 1 - im.cur
@@ -516,7 +423,8 @@ func (inc *Incremental) carry(im *incMat, i, j int, stale []int) (*Matrix, []int
 	}
 	rows = rows[:tSlots]
 
-	nPrev := len(stale)
+	m := &im.hdr[nxt]
+	nStale := 0
 	for t := 0; t < tSlots; t++ {
 		row := flat[t*width : (t+1)*width]
 		rows[t] = row
@@ -534,12 +442,11 @@ func (inc *Incremental) carry(im *incMat, i, j int, stale []int) (*Matrix, []int
 		if valid {
 			copy(row, im.m.Vals[r-im.start])
 		} else {
-			stale = append(stale, t)
+			jobs = append(jobs, rowJob{m: m, t0: t, t1: t + 1})
+			nStale++
 		}
 	}
-	nStale := len(stale) - nPrev
 
-	m := &im.hdr[nxt]
 	*m = Matrix{I: i, J: j, W: inc.w, Rate: inc.rate, Vals: rows}
 	inc.rowsReused.Add(uint64(tSlots - nStale))
 	inc.rowsStale.Add(uint64(nStale))
@@ -551,61 +458,22 @@ func (inc *Incremental) carry(im *incMat, i, j int, stale []int) (*Matrix, []int
 	im.rows[nxt] = rows
 	im.cur = nxt
 	im.m, im.start, im.end = m, inc.start, inc.end
-	return m, stale
+	return m, jobs
 }
 
-// ExtendMatrices is the cross-pair batched form of ExtendMatrix: it
-// advances every listed pair's matrix to the current window and fills all
-// their stale rows in one batched pass, interleaved row-major across
-// pairs — consecutive fills sweep the same slot range of the CSI planes,
-// so each freshly appended time block is read once and feeds every pair
-// sharing it (in steady state every pair is stale on exactly the same
-// rows, making the interleave a perfect block-major walk). The result
-// slice and the matrices obey ExtendMatrix's ownership rules (valid until
-// the next refresh; the slice itself is reused by the next call).
-// Duplicate pairs are served by the per-pair fast path. Row values are
-// bit-for-bit what per-pair ExtendMatrix calls would produce.
+// ExtendMatrices is ExtendMatrix over a list of pairs: it advances every
+// listed pair's matrix to the current window, one pair at a time, and
+// returns them in order. The result slice is reused by the next call, and
+// the matrices obey ExtendMatrix's ownership rules.
 func (inc *Incremental) ExtendMatrices(pairs []PairSpec) ([]*Matrix, error) {
-	out := inc.batchOut[:0]
-	work := inc.batchWork[:0]
-	seg := inc.batchSeg[:0]
-	seg = append(seg, 0)
-	touched := 0
+	out := inc.extendOut[:0]
 	for _, p := range pairs {
-		if p.I < 0 || p.I >= inc.numAnt || p.J < 0 || p.J >= inc.numAnt {
-			inc.batchOut, inc.batchWork, inc.batchSeg = out, work, seg
-			return nil, fmt.Errorf("trrs: ExtendMatrices pair (%d,%d) out of range [0,%d)", p.I, p.J, inc.numAnt)
-		}
-		im := inc.matFor(p.I, p.J)
-		if im.m != nil && im.start == inc.start && im.end == inc.end {
-			out = append(out, im.m)
-			seg = append(seg, len(work))
-			continue
-		}
-		stale := inc.staleScratch[:0]
-		m, stale := inc.carry(im, p.I, p.J, stale)
-		inc.staleScratch = stale
-		touched++
-		for _, t := range stale {
-			work = append(work, batchItem{m: m, t: t})
+		m, err := inc.ExtendMatrix(p.I, p.J)
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, m)
-		seg = append(seg, len(work))
 	}
-	// Interleave the pair-major segments row-major: position pos of every
-	// pair's stale list, pair by pair, then pos+1.
-	order := inc.batchOrder[:0]
-	for pos := 0; len(order) < len(work); pos++ {
-		for k := 0; k+1 < len(seg); k++ {
-			s := work[seg[k]:seg[k+1]]
-			if pos < len(s) {
-				order = append(order, s[pos])
-			}
-		}
-	}
-	if len(order) > 0 {
-		inc.fullView().fillRowsBatch(order, touched)
-	}
-	inc.batchOut, inc.batchWork, inc.batchSeg, inc.batchOrder = out, work, seg, order
+	inc.extendOut = out
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package trrs
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -175,5 +176,97 @@ func TestIncrementalWindowInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestExtendMatricesMatchesPerPair drives two identical Incrementals
+// through the Streamer's hop pattern, refreshing one with ExtendMatrices
+// and the other pair by pair, and requires bit-identical matrices at every
+// hop — plus the serial batch oracle over the window.
+// Also covers the fast path (repeat call returns the same matrices) and
+// duplicate pairs in the request.
+func TestExtendMatricesMatchesPerPair(t *testing.T) {
+	s := walkSeries(t, false)
+	const w = 12
+	mk := func() *Incremental {
+		inc, err := NewIncremental(s.Rate, s.NumAnts, s.NumTx, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inc.SetParallelism(1)
+		return inc
+	}
+	multi, perPair := mk(), mk()
+	pairs := []PairSpec{{I: 0, J: 1}, {I: 0, J: 2}, {I: 1, J: 2}, {I: 0, J: 1}} // duplicate on purpose
+	next, start := 0, 0
+	for _, step := range []struct{ app, drop int }{{80, 0}, {25, 25}, {25, 25}, {10, 40}} {
+		for k := 0; k < step.app && next < s.NumSlots(); k++ {
+			snap := seriesSnapshot(s, next)
+			if err := multi.Append(snap); err != nil {
+				t.Fatal(err)
+			}
+			if err := perPair.Append(snap); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		multi.DropFront(step.drop)
+		perPair.DropFront(step.drop)
+		start += step.drop
+		if start > next {
+			start = next
+		}
+
+		got, err := multi.ExtendMatrices(pairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(pairs) {
+			t.Fatalf("ExtendMatrices returned %d matrices for %d pairs", len(got), len(pairs))
+		}
+		oracle := windowEngine(s, start, next)
+		for k, p := range pairs {
+			want, err := perPair.ExtendMatrix(p.I, p.J)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdentical(t, "multi-vs-perpair", want, got[k])
+			requireIdentical(t, "multi-vs-oracle", oracle.BaseMatrixSerial(p.I, p.J, w), got[k])
+		}
+		if got[0] != got[3] {
+			t.Fatal("duplicate pair must share one matrix")
+		}
+		// Unchanged window: the fast path returns the same matrices.
+		again, err := multi.ExtendMatrices(pairs[:3])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range again {
+			if again[k] != got[k] {
+				t.Fatalf("fast path rebuilt matrix %d", k)
+			}
+		}
+	}
+
+	// Out-of-range pair reports an error.
+	if _, err := multi.ExtendMatrices([]PairSpec{{I: 0, J: 99}}); err == nil {
+		t.Fatal("out-of-range pair must error")
+	}
+}
+
+// TestNewIncrementalRejectsBadRate pins the rate check: NaN and ±Inf are
+// refused like zero and negative rates.
+func TestNewIncrementalRejectsBadRate(t *testing.T) {
+	for _, tc := range []struct {
+		rate float64
+		ok   bool
+	}{
+		{100, true}, {0, false}, {-1, false},
+		{math.NaN(), false}, {math.Inf(1), false}, {math.Inf(-1), false},
+	} {
+		_, err := NewIncremental(tc.rate, 3, 1, 5)
+		if (err == nil) != tc.ok {
+			t.Errorf("NewIncremental(rate %v): err = %v, want ok=%v", tc.rate, err, tc.ok)
+		}
 	}
 }

@@ -12,47 +12,61 @@ type PairSpec struct {
 	I, J int
 }
 
-// shard is one unit of worker-pool work: a block of consecutive rows of
-// one pair's base matrix.
-type shard struct {
-	pair   int // index into the compute/out slices
-	t0, t1 int // row range [t0, t1)
+// rowJob is one unit of worker-pool work: rows [t0, t1) of m, each filled
+// from column cFrom on (w for a self-pair's non-negative half band, else
+// 0). Jobs write disjoint rows, so the pool's pickup order never changes a
+// bit of the output.
+type rowJob struct {
+	m      *Matrix
+	t0, t1 int
+	cFrom  int
 }
 
-// batchPlan is the cross-pair batched schedule of a multi-pair build: the
-// shards are ordered time-block-major (all pairs of block [t0, t1), then
-// all pairs of the next block) instead of pair-major. Rows t ∈ [t0, t1)
-// of every pair sweep the same slot range [t0−W, t1) of the CSI planes,
-// and distinct pairs share antenna planes, so one pass over each time
-// block feeds every pair sharing it: the block's plane data is read from
-// memory once and reused from cache across pairs, rather than streamed
-// from memory once per pair. The schedule is a pure reordering of
-// independent row fills, so the output is bit-for-bit unchanged.
-type batchPlan struct {
-	block  int
-	shards []shard
+// runJobs fills every job on the engine's worker pool and returns the
+// number of workers used. With one worker (Parallelism = 1, a single-CPU
+// GOMAXPROCS, or a single job) it runs the jobs in order on the calling
+// goroutine and allocates nothing.
+func (e *Engine) runJobs(jobs []rowJob) int {
+	workers := e.workers()
+	if workers > len(jobs) {
+		workers = len(jobs)
+	}
+	if workers <= 1 {
+		for _, j := range jobs {
+			e.fillJob(j)
+		}
+		return 1
+	}
+	var next atomic.Int64
+	work := func() {
+		for {
+			n := int(next.Add(1)) - 1
+			if n >= len(jobs) {
+				return
+			}
+			e.fillJob(jobs[n])
+		}
+	}
+	// The calling goroutine is one of the workers.
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for g := 1; g < workers; g++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	return workers
 }
 
-// planBatches builds the block-major schedule for the given computed-pair
-// indices. The block size balances scheduling overhead against load
-// balance and cache footprint: every worker gets several blocks, never
-// below 16 rows.
-func (e *Engine) planBatches(compute []int, workers int) batchPlan {
-	block := e.slots / (workers * 4)
-	if block < 16 {
-		block = 16
+// fillJob computes one job's rows.
+func (e *Engine) fillJob(j rowJob) {
+	m := j.m
+	for t := j.t0; t < j.t1; t++ {
+		e.fillRowFrom(m.Vals[t], m.I, m.J, m.W, t, j.cFrom)
 	}
-	plan := batchPlan{block: block}
-	for t0 := 0; t0 < e.slots; t0 += block {
-		t1 := t0 + block
-		if t1 > e.slots {
-			t1 = e.slots
-		}
-		for _, k := range compute {
-			plan.shards = append(plan.shards, shard{pair: k, t0: t0, t1: t1})
-		}
-	}
-	return plan
 }
 
 // Hermitian symmetry of the TRRS (Eq. 2/3): κ̄(Hᵢ(t), Hⱼ(t′)) =
@@ -65,7 +79,11 @@ func (e *Engine) planBatches(compute []int, workers int) batchPlan {
 // and it holds bit-for-bit, not just mathematically: the swapped kernel
 // accumulates the same real products in the same order (a·b = b·a exactly)
 // and an imaginary part of exactly opposite sign (IEEE-754 subtraction
-// satisfies −(x−y) = (y−x) bitwise), whose square is identical. So
+// satisfies −(x−y) = (y−x) bitwise), whose square is identical. The AVX2
+// sweep keeps this: swapping the arguments swaps its two imaginary FMA
+// accumulators and negates each exactly (round-to-nearest is symmetric
+// under negation), so every lane sum, and the pairwise reduction, flips
+// sign and nothing else. So
 // BaseMatrices computes one matrix per unordered pair and derives the
 // reversed twin by reflection, and computes self-pairs (i, i) over the
 // non-negative lag half-band only — with results identical to computing
@@ -132,17 +150,15 @@ func (e *Engine) newFlatMatrix(i, j, w int) *Matrix {
 }
 
 // BaseMatrices computes the base TRRS matrices of several antenna pairs in
-// one worker pool, sharded by pair × time block. Symmetry deduplication
-// runs first: of a reversed pair {(i,j), (j,i)} only the first is computed
-// and the twin is derived by the κ̄ reflection above; exact duplicates
-// share one matrix; a self-pair (i,i) computes only its non-negative lags
-// and reflects the rest. Each computed entry is an independent pure
-// function of the normalized snapshots and every shard writes a disjoint
-// row range of a preallocated buffer, so the output is deterministic and
-// bit-for-bit identical to BaseMatrixSerial regardless of worker count,
-// scheduling, or which of the symmetry paths produced it. With one worker
-// (Parallelism = 1, or a single-CPU GOMAXPROCS) the fill degenerates to
-// the serial loop.
+// one worker pool, sharded pair-major into blocks of consecutive rows.
+// Symmetry deduplication runs first: of a reversed pair {(i,j), (j,i)}
+// only the first is computed and the twin is derived by the κ̄ reflection
+// above; exact duplicates share one matrix; a self-pair (i,i) computes
+// only its non-negative lags and reflects the rest. Each computed entry is
+// an independent pure function of the normalized snapshots and every job
+// writes a disjoint row range of a preallocated buffer, so the output is
+// deterministic and bit-for-bit identical to BaseMatrixSerial regardless
+// of worker count, scheduling, or which of the symmetry paths produced it.
 func (e *Engine) BaseMatrices(pairs []PairSpec, w int) []*Matrix {
 	out := make([]*Matrix, len(pairs))
 	if len(pairs) == 0 {
@@ -159,54 +175,23 @@ func (e *Engine) BaseMatrices(pairs []PairSpec, w int) []*Matrix {
 		e.trc.Emit(trace.KindTRRSFill, e.hop, -1, int64(len(compute)*e.slots), int64(len(pairs)))
 	}
 
-	// Phase 1: fill the computed matrices (self-pairs: half band only),
-	// cross-pair batched: the batchPlan orders the work time-block-major so
-	// each block of the CSI planes is read once and reused across every
-	// pair sharing it (see batchPlan).
-	fill := func(k, t int) {
-		p, m := pairs[k], out[k]
-		if p.I == p.J {
-			e.fillRowFrom(m.Vals[t], p.I, p.J, w, t, w)
-		} else {
-			e.fillRow(m.Vals[t], p.I, p.J, w, t)
+	// Phase 1: fill the computed matrices (self-pairs: half band only).
+	// Blocks are sized so every worker gets several, never below 16 rows.
+	block := e.slots / (e.workers() * 4)
+	if block < 16 {
+		block = 16
+	}
+	var jobs []rowJob
+	for _, k := range compute {
+		cFrom := 0
+		if pairs[k].I == pairs[k].J {
+			cFrom = w
+		}
+		for t0 := 0; t0 < e.slots; t0 += block {
+			jobs = append(jobs, rowJob{m: out[k], t0: t0, t1: min(t0+block, e.slots), cFrom: cFrom})
 		}
 	}
-	workers := e.workers()
-	if workers == 1 || e.slots == 0 {
-		e.poolGauge.Set(1)
-		plan := e.planBatches(compute, 1)
-		for _, sh := range plan.shards {
-			for t := sh.t0; t < sh.t1; t++ {
-				fill(sh.pair, t)
-			}
-		}
-	} else {
-		plan := e.planBatches(compute, workers)
-		if workers > len(plan.shards) {
-			workers = len(plan.shards)
-		}
-		e.poolGauge.Set(float64(workers))
-
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for g := 0; g < workers; g++ {
-			go func() {
-				defer wg.Done()
-				for {
-					n := int(next.Add(1)) - 1
-					if n >= len(plan.shards) {
-						return
-					}
-					sh := plan.shards[n]
-					for t := sh.t0; t < sh.t1; t++ {
-						fill(sh.pair, t)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	e.poolGauge.Set(float64(e.runJobs(jobs)))
 
 	// Phase 2 (after the barrier — reflections read computed rows at other
 	// time indices): complete self-pair negative lags, derive reversed
@@ -230,87 +215,13 @@ func (e *Engine) BaseMatrices(pairs []PairSpec, w int) []*Matrix {
 	return out
 }
 
-// fillRowsSharded recomputes an explicit set of rows of one pair's matrix
-// using the engine's worker pool (the incremental engine's refresh path).
-// rows holds local row indices into m.Vals; every listed row must already
-// be allocated at width 2W+1.
-func (e *Engine) fillRowsSharded(m *Matrix, rows []int) {
-	e.rowsFilled.Add(uint64(len(rows)))
+// fillRowsSharded recomputes the listed rows of one pair's matrix on the
+// engine's worker pool (the incremental engine's refresh path). Each job
+// holds one row of m, already allocated at width 2W+1.
+func (e *Engine) fillRowsSharded(m *Matrix, jobs []rowJob) {
+	e.rowsFilled.Add(uint64(len(jobs)))
 	if e.trc != nil {
-		e.trc.Emit(trace.KindTRRSFill, e.hop, trace.PairCode(m.I, m.J), int64(len(rows)), 0)
+		e.trc.Emit(trace.KindTRRSFill, e.hop, trace.PairCode(m.I, m.J), int64(len(jobs)), 0)
 	}
-	workers := e.workers()
-	if workers > len(rows) {
-		workers = len(rows)
-	}
-	if workers <= 1 {
-		for _, t := range rows {
-			e.fillRow(m.Vals[t], m.I, m.J, m.W, t)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for g := 0; g < workers; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				n := int(next.Add(1)) - 1
-				if n >= len(rows) {
-					return
-				}
-				t := rows[n]
-				e.fillRow(m.Vals[t], m.I, m.J, m.W, t)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// batchItem is one row fill of a multi-pair batched refresh.
-type batchItem struct {
-	m *Matrix
-	t int
-}
-
-// fillRowsBatch recomputes an explicit set of (matrix, row) items using
-// the engine's worker pool — the cross-pair batched counterpart of
-// fillRowsSharded, used by Incremental.ExtendMatrices. The caller orders
-// the items row-major across pairs so consecutive items sweep the same
-// slot range of the CSI planes; with one worker that order is executed
-// exactly, with more it is the pool's pickup order. Emits one bulk
-// trace.KindTRRSFill event (Frame −1) like a multi-pair build.
-func (e *Engine) fillRowsBatch(items []batchItem, pairsTouched int) {
-	e.rowsFilled.Add(uint64(len(items)))
-	if e.trc != nil {
-		e.trc.Emit(trace.KindTRRSFill, e.hop, -1, int64(len(items)), int64(pairsTouched))
-	}
-	workers := e.workers()
-	if workers > len(items) {
-		workers = len(items)
-	}
-	if workers <= 1 {
-		for _, it := range items {
-			e.fillRow(it.m.Vals[it.t], it.m.I, it.m.J, it.m.W, it.t)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for g := 0; g < workers; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				n := int(next.Add(1)) - 1
-				if n >= len(items) {
-					return
-				}
-				it := items[n]
-				e.fillRow(it.m.Vals[it.t], it.m.I, it.m.J, it.m.W, it.t)
-			}
-		}()
-	}
-	wg.Wait()
+	e.runJobs(jobs)
 }

@@ -14,11 +14,13 @@
 // The normalized snapshots are stored structure-of-arrays: one contiguous
 // re plane and one im plane per (antenna, tx), with slot t occupying
 // [t·tones, (t+1)·tones). A base-matrix row's lag sweep walks consecutive
-// slots of one plane, so the kernel streams memory sequentially instead of
-// chasing per-slot []complex128 pointers. The default kernel keeps the
-// seed's summation order exactly (see sigproc.DotSqSoA), so every result
-// is bit-for-bit identical to the original []complex128 arithmetic; see
-// DESIGN.md, "TRRS kernel".
+// slots of one plane, so each row is one sigproc.DotSqSweepSoA call per tx
+// (AVX2+FMA assembly where available) instead of one kernel call per
+// entry chasing per-slot []complex128 pointers. The sweep reassociates the
+// inner product, so matrix entries agree with the seed's []complex128
+// arithmetic to 1e-12 relative; point queries (Base, SelfSeries) keep the
+// seed's summation order bit for bit (sigproc.DotSqSoA). See DESIGN.md,
+// "TRRS kernel".
 package trrs
 
 import (
@@ -32,70 +34,6 @@ import (
 	"rim/internal/sigproc"
 )
 
-// Kernel selects the inner-product kernel used for TRRS evaluation.
-type Kernel uint8
-
-const (
-	// KernelSequential (the default) accumulates in the seed's element
-	// order: results are bit-for-bit identical to the reference
-	// implementation and therefore to every committed golden suite.
-	KernelSequential Kernel = iota
-	// KernelUnrolled4 splits the accumulation over four partial sums to
-	// overlap FPU latency (sigproc.DotSqSoA4). Its fixed reduction order
-	// differs from the sequential kernel, so results agree only to
-	// rounding — the equivalence suite bounds the difference at 1e-12
-	// relative. Opt-in via Config.Kernel or SetKernel.
-	KernelUnrolled4
-	// KernelUnrolled8 widens the accumulation to eight partial sums —
-	// the vector-shaped reference the assembly sweep kernels mirror
-	// (sigproc.DotSqSoA8). Measured caveat: with 16 live accumulators the
-	// scalar register file spills, so on current hardware this kernel is
-	// slower than the sequential one (see BENCH_trrs.json); it exists for
-	// shape documentation and as a portable stand-in where the real
-	// vector path is unavailable. Same 1e-12-relative gate as unrolled4.
-	KernelUnrolled8
-	// KernelVector evaluates whole base-matrix rows through the lag-sweep
-	// kernels (sigproc.DotSqSweepSoA): AVX2+FMA assembly on supporting
-	// amd64 hardware, scalar sweep elsewhere (sigproc.VecSupported
-	// reports which). Point queries (Base, SelfSeries) fall back to the
-	// sequential kernel — the sweep only pays off across a row. Results
-	// agree with the sequential kernel to 1e-12 relative.
-	KernelVector
-)
-
-// String implements fmt.Stringer.
-func (k Kernel) String() string {
-	switch k {
-	case KernelSequential:
-		return "sequential"
-	case KernelUnrolled4:
-		return "unrolled4"
-	case KernelUnrolled8:
-		return "unrolled8"
-	case KernelVector:
-		return "vector"
-	default:
-		return fmt.Sprintf("kernel(%d)", uint8(k))
-	}
-}
-
-// ParseKernel converts a kernel name (as printed by Kernel.String) back to
-// the selector — the flag-parsing hook for rimtrack/rimserved/rimbench.
-func ParseKernel(s string) (Kernel, error) {
-	switch s {
-	case "sequential", "":
-		return KernelSequential, nil
-	case "unrolled4":
-		return KernelUnrolled4, nil
-	case "unrolled8":
-		return KernelUnrolled8, nil
-	case "vector":
-		return KernelVector, nil
-	default:
-		return 0, fmt.Errorf("trrs: unknown kernel %q (want sequential, unrolled4, unrolled8 or vector)", s)
-	}
-}
-
 // Engine holds unit-normalized CSI vectors so that the TRRS of Eq. 2
 // reduces to the squared magnitude of an inner product.
 type Engine struct {
@@ -107,15 +45,8 @@ type Engine struct {
 	// (the SoA planes are uniform slabs).
 	tones int
 	// re[ant][tx] / im[ant][tx] are the SoA planes of unit-norm CSI:
-	// slot t occupies [t*tones, (t+1)*tones). In float32 plane mode
-	// (prec == PrecisionFloat32) these are nil and re32/im32 hold the
-	// planes instead — converted once at ingest, never per query.
-	re, im     [][][]float64
-	re32, im32 [][][]float32
-	// prec selects the plane precision (see Precision).
-	prec Precision
-	// kernel selects the inner-product kernel (see Kernel).
-	kernel Kernel
+	// slot t occupies [t*tones, (t+1)*tones).
+	re, im [][][]float64
 	// par is the worker count for matrix computation: 0 means GOMAXPROCS,
 	// 1 means the serial reference path (see SetParallelism).
 	par int
@@ -144,15 +75,6 @@ func (e *Engine) SetParallelism(n int) {
 
 // Parallelism returns the configured worker count (0 = GOMAXPROCS).
 func (e *Engine) Parallelism() int { return e.par }
-
-// SetKernel selects the inner-product kernel. The default
-// KernelSequential is bit-for-bit identical to the reference arithmetic;
-// KernelUnrolled4 trades that for pipelined accumulation (1e-12-relative
-// agreement).
-func (e *Engine) SetKernel(k Kernel) { e.kernel = k }
-
-// Kernel returns the selected inner-product kernel.
-func (e *Engine) Kernel() Kernel { return e.kernel }
 
 // SetObs points the engine's utilization counters at a registry: the
 // number of base-matrix rows computed from scratch
@@ -277,61 +199,18 @@ func (e *Engine) NumSlots() int { return e.slots }
 func (e *Engine) NumAntennas() int { return e.numAnts }
 
 // Base returns the tx-averaged TRRS κ̄ (Eq. 3) between antenna i at slot ti
-// and antenna j at slot tj. Out-of-range slots yield 0.
+// and antenna j at slot tj. Out-of-range slots yield 0. Point queries use
+// the sequential kernel, bit-for-bit the seed arithmetic.
 func (e *Engine) Base(i, j, ti, tj int) float64 {
 	if ti < 0 || tj < 0 || ti >= e.slots || tj >= e.slots {
 		return 0
-	}
-	return e.base(i, j, ti, tj)
-}
-
-// base is Base without the slot-range check — the hot path. fillRow hoists
-// the range test out of its lag sweep and calls this directly, so each
-// matrix entry costs exactly one kernel call (the seed re-validated both
-// slot indices on every entry).
-func (e *Engine) base(i, j, ti, tj int) float64 {
-	if e.prec == PrecisionFloat32 {
-		return e.base32(i, j, ti, tj)
 	}
 	oi, oj := ti*e.tones, tj*e.tones
 	ri, ii := e.re[i], e.im[i]
 	rj, ij := e.re[j], e.im[j]
 	var sum float64
-	switch e.kernel {
-	case KernelUnrolled4:
-		for tx := 0; tx < e.numTx; tx++ {
-			sum += sigproc.DotSqSoA4(
-				ri[tx][oi:oi+e.tones], ii[tx][oi:oi+e.tones],
-				rj[tx][oj:oj+e.tones], ij[tx][oj:oj+e.tones])
-		}
-	case KernelUnrolled8:
-		for tx := 0; tx < e.numTx; tx++ {
-			sum += sigproc.DotSqSoA8(
-				ri[tx][oi:oi+e.tones], ii[tx][oi:oi+e.tones],
-				rj[tx][oj:oj+e.tones], ij[tx][oj:oj+e.tones])
-		}
-	default:
-		// KernelSequential, and KernelVector's point queries: the sweep
-		// only pays off across a row, so single-entry evaluation keeps the
-		// bit-exact sequential arithmetic.
-		for tx := 0; tx < e.numTx; tx++ {
-			sum += sigproc.DotSqSoA(
-				ri[tx][oi:oi+e.tones], ii[tx][oi:oi+e.tones],
-				rj[tx][oj:oj+e.tones], ij[tx][oj:oj+e.tones])
-		}
-	}
-	return sum / float64(e.numTx)
-}
-
-// base32 is base over float32 planes: float32 accumulation per tx, tx
-// average in float64 (sigproc.DotSqSoA32 returns float64 |·|²).
-func (e *Engine) base32(i, j, ti, tj int) float64 {
-	oi, oj := ti*e.tones, tj*e.tones
-	ri, ii := e.re32[i], e.im32[i]
-	rj, ij := e.re32[j], e.im32[j]
-	var sum float64
 	for tx := 0; tx < e.numTx; tx++ {
-		sum += sigproc.DotSqSoA32(
+		sum += sigproc.DotSqSoA(
 			ri[tx][oi:oi+e.tones], ii[tx][oi:oi+e.tones],
 			rj[tx][oj:oj+e.tones], ij[tx][oj:oj+e.tones])
 	}
@@ -376,11 +255,11 @@ func (e *Engine) fillRow(row []float64, i, j, w, t int) {
 }
 
 // fillRowFrom computes columns c ∈ [cFrom, len(row)) of fillRow's sweep
-// (cFrom = 0 is the full row). The in-range column band is hoisted out of
-// the loop — tj = t−(c−w) lies in [0, slots) iff c ∈ [cLo, cHi) — so the
-// sweep calls the unchecked kernel and the out-of-range fringes are plain
-// zero fills. cFrom = w restricts the sweep to the non-negative lags, the
-// self-pair half-band computation (see BaseMatrices).
+// (cFrom = 0 is the full row). The in-range column band — tj = t−(c−w)
+// lies in [0, slots) iff c ∈ [cLo, cHi) — is one lag sweep per tx, and
+// the out-of-range fringes are plain zero fills. cFrom = w restricts the
+// sweep to the non-negative lags, the self-pair half-band computation (see
+// BaseMatrices).
 func (e *Engine) fillRowFrom(row []float64, i, j, w, t, cFrom int) {
 	cLo := t + w - e.slots + 1 // first c with t−(c−w) < slots
 	if cLo < cFrom {
@@ -400,57 +279,16 @@ func (e *Engine) fillRowFrom(row []float64, i, j, w, t, cFrom int) {
 		return
 	}
 	// The in-range band is a lag sweep: column c evaluates slot t against
-	// slot t−(c−w), one slot earlier per column. Float32 plane mode and the
-	// opt-in vector kernel hand the whole band to the sigproc sweep
-	// primitives (AVX2+FMA assembly where available) instead of one kernel
-	// call per entry; the default path stays the bit-exact per-entry loop.
-	switch {
-	case e.prec == PrecisionFloat32:
-		e.sweepRow32(row[cLo:cHi], i, j, t, t-(cLo-w))
-	case e.kernel == KernelVector:
-		e.sweepRow(row[cLo:cHi], i, j, t, t-(cLo-w))
-	default:
-		for c := cLo; c < cHi; c++ {
-			row[c] = e.base(i, j, t, t-(c-w))
-		}
-	}
-}
-
-// sweepRow fills band[k] = κ̄(H_i(t), H_j(tjFirst−k)) via the float64 lag
-// sweep: zero the band, accumulate one strided sweep per tx (stride
-// −tones walks earlier slots as the lag grows), then divide by the tx
-// count. tjFirst is the slot the band's first column references; the
-// caller guarantees the whole band lies inside the series.
-func (e *Engine) sweepRow(band []float64, i, j, t, tjFirst int) {
-	for k := range band {
-		band[k] = 0
-	}
+	// slot t−(c−w), one slot earlier per column, so each tx is one strided
+	// sigproc sweep (stride −tones) accumulated into the zeroed band.
+	band := row[cLo:cHi]
+	clear(band)
 	oi := t * e.tones
-	off := tjFirst * e.tones
+	off := (t - (cLo - w)) * e.tones
 	for tx := 0; tx < e.numTx; tx++ {
 		sigproc.DotSqSweepSoA(band,
 			e.re[i][tx][oi:oi+e.tones], e.im[i][tx][oi:oi+e.tones],
 			e.re[j][tx], e.im[j][tx], off, -e.tones, e.tones)
-	}
-	if e.numTx > 1 {
-		ntx := float64(e.numTx)
-		for k := range band {
-			band[k] /= ntx
-		}
-	}
-}
-
-// sweepRow32 is sweepRow over the float32 planes.
-func (e *Engine) sweepRow32(band []float64, i, j, t, tjFirst int) {
-	for k := range band {
-		band[k] = 0
-	}
-	oi := t * e.tones
-	off := tjFirst * e.tones
-	for tx := 0; tx < e.numTx; tx++ {
-		sigproc.DotSqSweepSoA32(band,
-			e.re32[i][tx][oi:oi+e.tones], e.im32[i][tx][oi:oi+e.tones],
-			e.re32[j][tx], e.im32[j][tx], off, -e.tones, e.tones)
 	}
 	if e.numTx > 1 {
 		ntx := float64(e.numTx)
