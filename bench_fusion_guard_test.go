@@ -65,8 +65,8 @@ func fusionGuardInputs(bl *fusionBenchBaseline) []fusion.Input {
 // cheaper than the default particle filter (it is the backend recommended
 // for many concurrent sessions precisely because of that margin), and —
 // without the race detector's instrumentation — an ESKF step must not
-// allocate at all. Ratios are measured live; run with -update-fusion-bench
-// to re-record BENCH_fusion.json.
+// allocate at all. The ratio is measured live on paired samples; run
+// with -update-fusion-bench to re-record BENCH_fusion.json.
 func TestFusionBenchGuard(t *testing.T) {
 	raw, err := os.ReadFile(fusionBaselineFile)
 	if err != nil {
@@ -95,19 +95,21 @@ func TestFusionBenchGuard(t *testing.T) {
 		}
 		return b
 	}
-	const reps = 5
-	run := func(kind fusion.BackendKind) float64 {
-		d := measure(reps, func() {
+	replay := func(kind fusion.BackendKind) func() {
+		return func() {
 			b := mkBackend(kind)
 			for _, in := range inputs {
 				b.Step(in)
 			}
-		})
-		return float64(d.Nanoseconds()) / float64(len(inputs))
+		}
 	}
-	pfNs := run(fusion.BackendParticle)
-	eskfNs := run(fusion.BackendESKF)
-	ratio := pfNs / eskfNs
+	// Paired, interleaved samples (guardRatio): contention from other
+	// packages' tests slows both backends alike instead of one of them.
+	const reps = 5
+	ratio, pfBest, eskfBest := guardRatio(5, 4, reps,
+		replay(fusion.BackendParticle), replay(fusion.BackendESKF))
+	pfNs := float64(pfBest.Nanoseconds()) / float64(len(inputs))
+	eskfNs := float64(eskfBest.Nanoseconds()) / float64(len(inputs))
 	cores := runtime.GOMAXPROCS(0)
 	t.Logf("cores=%d particle=%.0f ns/step eskf=%.0f ns/step ratio=%.1fx (baseline: %.1fx)",
 		cores, pfNs, eskfNs, ratio, bl.Baseline.Ratio)

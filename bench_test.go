@@ -197,15 +197,6 @@ func BenchmarkExtWiBallComparison(b *testing.B) {
 	}
 }
 
-func BenchmarkPerfEngineThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Perf(experiments.Fast)
-		b.ReportMetric(r.BatchSpeedup, "batch-speedup")
-		b.ReportMetric(r.StreamSpeedup, "stream-speedup")
-		b.ReportMetric(r.IncrementalSlotsPerSec, "slots/s")
-	}
-}
-
 // --- §6.2.9 system complexity micro-benchmarks -------------------------
 
 // benchSeries builds a small processed CSI series once per benchmark.

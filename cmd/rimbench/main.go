@@ -7,11 +7,9 @@
 // Usage:
 //
 //	rimbench [-scale fast|full] [-only Fig11,Fig17] [-o EXPERIMENTS.out]
-//	         [-json perf.json]
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -27,10 +25,8 @@ type runner struct {
 	run  func(experiments.Scale) *experiments.Report
 }
 
-// allRunners lists every experiment; the Perf runner stashes its full
-// result in *perf so -json can emit the machine-readable row without
-// running the experiment twice.
-func allRunners(perf **experiments.PerfResult) []runner {
+// allRunners lists every experiment.
+func allRunners() []runner {
 	return []runner{
 		{"Fig4", func(s experiments.Scale) *experiments.Report { return experiments.Fig4(s).Report }},
 		{"Fig5", func(s experiments.Scale) *experiments.Report { return experiments.Fig5(s).Report }},
@@ -55,10 +51,6 @@ func allRunners(perf **experiments.PerfResult) []runner {
 		{"AblD", func(s experiments.Scale) *experiments.Report { return experiments.AblationAmplitude(s).Report }},
 		{"ExtA", func(s experiments.Scale) *experiments.Report { return experiments.ExtWiBall(s).Report }},
 		{"ExtB", func(s experiments.Scale) *experiments.Report { return experiments.ExtHeading(s).Report }},
-		{"Perf", func(s experiments.Scale) *experiments.Report {
-			*perf = experiments.Perf(s)
-			return (*perf).Report
-		}},
 	}
 }
 
@@ -66,7 +58,6 @@ func main() {
 	scaleFlag := flag.String("scale", "fast", "experiment scale: fast or full")
 	only := flag.String("only", "", "comma-separated experiment names (e.g. Fig11,Fig17); empty = all")
 	out := flag.String("o", "", "also write the reports to this file")
-	jsonOut := flag.String("json", "", "write the Perf row (throughput + stage-latency percentiles) as JSON to this file")
 	flag.Parse()
 
 	var scale experiments.Scale
@@ -101,8 +92,7 @@ func main() {
 	fmt.Fprintf(w, "RIM evaluation reproduction — scale=%s — %s\n\n",
 		*scaleFlag, time.Now().Format(time.RFC3339))
 	start := time.Now()
-	var perf *experiments.PerfResult
-	for _, r := range allRunners(&perf) {
+	for _, r := range allRunners() {
 		if len(want) > 0 && !want[r.name] {
 			continue
 		}
@@ -111,21 +101,4 @@ func main() {
 		fmt.Fprintf(w, "%s\n(experiment %s took %v)\n\n", rep, r.name, time.Since(t0).Round(time.Millisecond))
 	}
 	fmt.Fprintf(w, "total: %v\n", time.Since(start).Round(time.Millisecond))
-
-	if *jsonOut != "" {
-		if perf == nil { // Perf filtered out by -only: run it for the row
-			perf = experiments.Perf(scale)
-		}
-		data, err := json.MarshalIndent(perf, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rimbench: %v\n", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "rimbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "rimbench: wrote perf JSON to %s\n", *jsonOut)
-	}
 }

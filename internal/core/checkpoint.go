@@ -178,16 +178,14 @@ func NewStreamerFromCheckpoint(cfg StreamConfig, cp *StreamCheckpoint) (*Streame
 	// Rebuild the incremental engine by replaying the buffered window
 	// through it, slot by slot, exactly as ingest committed it.
 	n := len(cp.Buf[0][0])
-	if st.inc != nil {
-		for s := 0; s < n; s++ {
-			for a := 0; a < cp.NumAnts; a++ {
-				for tx := 0; tx < cp.NumTx; tx++ {
-					st.incSnap[a][tx] = st.buf[a][tx][s]
-				}
+	for s := 0; s < n; s++ {
+		for a := 0; a < cp.NumAnts; a++ {
+			for tx := 0; tx < cp.NumTx; tx++ {
+				st.incSnap[a][tx] = st.buf[a][tx][s]
 			}
-			if err := st.inc.Append(st.incSnap); err != nil {
-				return nil, fmt.Errorf("core: checkpoint replay failed at slot %d: %w", s, err)
-			}
+		}
+		if err := st.inc.Append(st.incSnap); err != nil {
+			return nil, fmt.Errorf("core: checkpoint replay failed at slot %d: %w", s, err)
 		}
 	}
 	if st.lagOn {

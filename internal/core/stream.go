@@ -43,13 +43,6 @@ type StreamConfig struct {
 	// fraction of antennas with missing samples at its slot reaches this
 	// level (default 1/3).
 	DegradedMissFrac float64
-	// Recompute disables the incremental TRRS engine and rebuilds the
-	// whole analysis window from scratch on every hop — the seed's
-	// behavior, kept as the reference oracle. Combined with
-	// Core.Parallelism = 1 it reproduces the fully serial pipeline; the
-	// incremental default is bit-for-bit equivalent and much cheaper per
-	// hop (see DESIGN.md, "Parallel & incremental TRRS engine").
-	Recompute bool
 	// HopDeadline bounds one sliding-window analysis hop. A hop that
 	// exhausts its budget stops at the next stage boundary and emits
 	// degraded placeholder estimates for the slots it did not resolve —
@@ -59,6 +52,13 @@ type StreamConfig struct {
 	// bound. PushMaskedCtx additionally honors its context's deadline,
 	// whichever is sooner.
 	HopDeadline time.Duration
+
+	// recompute makes every hop rebuild the whole analysis window from
+	// the raw buffer through ProcessSeries instead of the incremental
+	// engine's maintained matrices — the seed's behavior, kept as the
+	// test oracle the incremental path must match bit for bit (see
+	// DESIGN.md, "Parallel & incremental TRRS engine"). Only tests set it.
+	recompute bool
 }
 
 // Health is the stream's data-quality surface: instead of silently
@@ -126,7 +126,7 @@ type Streamer struct {
 	// incremental engine maintains matrices at exactly the W the
 	// per-window analysis asks for.
 	wSlots int
-	// inc is the incremental TRRS engine (nil when cfg.Recompute).
+	// inc is the incremental TRRS engine.
 	inc *trrs.Incremental
 	// incSnap is the reused per-push snapshot scratch handed to inc.Append
 	// (which copies the rows), and remapHdr the reused per-pair Matrix
@@ -341,21 +341,19 @@ func NewStreamer(cfg StreamConfig, rate float64, numAnts, numTx, numSub int) (*S
 	st.qual = cfg.Core.Quality
 	st.t0 = time.Now()
 	st.lagOn = st.trc != nil || st.ob.lagH != nil
-	if !cfg.Recompute {
-		inc, err := trrs.NewIncremental(rate, numAnts, numTx, st.wSlots)
-		if err != nil {
-			return nil, err
-		}
-		inc.SetParallelism(cfg.Core.Parallelism)
-		inc.SetObs(cfg.Core.Obs)
-		inc.SetTrace(cfg.Core.Trace)
-		st.inc = inc
-		st.incSnap = make([][][]complex128, numAnts)
-		for a := range st.incSnap {
-			st.incSnap[a] = make([][]complex128, numTx)
-		}
-		st.remapHdr = map[[2]int]*trrs.Matrix{}
+	inc, err := trrs.NewIncremental(rate, numAnts, numTx, st.wSlots)
+	if err != nil {
+		return nil, err
 	}
+	inc.SetParallelism(cfg.Core.Parallelism)
+	inc.SetObs(cfg.Core.Obs)
+	inc.SetTrace(cfg.Core.Trace)
+	st.inc = inc
+	st.incSnap = make([][][]complex128, numAnts)
+	for a := range st.incSnap {
+		st.incSnap[a] = make([][]complex128, numTx)
+	}
+	st.remapHdr = map[[2]int]*trrs.Matrix{}
 	st.aliveScratch = make([]int, 0, numAnts)
 	st.buf = make([][][][]complex128, numAnts)
 	st.missing = make([][]bool, numAnts)
@@ -543,9 +541,7 @@ func (st *Streamer) PushMaskedCtx(ctx context.Context, snapshot [][][]complex128
 				row = make([]complex128, st.numSub) // zero row: TRRS-neutral
 			}
 			st.buf[a][tx] = append(st.buf[a][tx], row)
-			if incSnap != nil {
-				incSnap[a][tx] = row
-			}
+			incSnap[a][tx] = row
 			if !absent[a] {
 				st.lastGood[a][tx] = row
 			}
@@ -562,12 +558,10 @@ func (st *Streamer) PushMaskedCtx(ctx context.Context, snapshot [][][]complex128
 			absentCnt++
 		}
 	}
-	if st.inc != nil {
-		// Mirror the exact committed rows (including substitutions) into
-		// the incremental engine, so its window always equals buf.
-		if err := st.inc.Append(incSnap); err != nil {
-			return nil, err
-		}
+	// Mirror the exact committed rows (including substitutions) into the
+	// incremental engine, so its window always equals buf.
+	if err := st.inc.Append(incSnap); err != nil {
+		return nil, err
 	}
 	st.updateDeadDetection(absent, snapshot)
 	ingestSpan.End()
@@ -902,9 +896,7 @@ func (st *Streamer) analyze(flush bool, ctx context.Context) ([]Estimate, error)
 			st.ingestNs = st.ingestNs[excess:]
 		}
 		st.dropped += excess
-		if st.inc != nil {
-			st.inc.DropFront(excess)
-		}
+		st.inc.DropFront(excess)
 	}
 	return out, err
 }
@@ -913,9 +905,9 @@ func (st *Streamer) analyze(flush bool, ctx context.Context) ([]Estimate, error)
 // to the given live antennas, re-deriving the pair geometry from the
 // surviving elements when some are dead. With the incremental engine it
 // builds the pipeline from the maintained normalization and base matrices
-// (only the rows invalidated since the last hop are recomputed); with
-// Recompute it rebuilds everything from the raw buffer, the seed's
-// reference behavior.
+// (only the rows invalidated since the last hop are recomputed); the
+// test-only recompute oracle rebuilds everything from the raw buffer, the
+// seed's reference behavior.
 func (st *Streamer) analyzeAlive(alive []int, hop int64, ctx context.Context, dl time.Time) (*Result, error) {
 	cfg := st.cfg.Core
 	// Stamp every trace event the per-hop pipeline emits with this hop's
@@ -931,9 +923,7 @@ func (st *Streamer) analyzeAlive(alive []int, hop int64, ctx context.Context, dl
 	scr := getHopScratch(st.ob)
 	defer putHopScratch(scr, st.ob)
 	cfg.arena = &scr.arena
-	if st.inc != nil {
-		st.inc.SetHop(hop)
-	}
+	st.inc.SetHop(hop)
 	if len(alive) < st.numAnts {
 		sub, err := cfg.Array.Subset(alive)
 		if err != nil {
@@ -941,7 +931,7 @@ func (st *Streamer) analyzeAlive(alive []int, hop int64, ctx context.Context, dl
 		}
 		cfg.Array = sub
 	}
-	if st.inc == nil {
+	if st.cfg.recompute {
 		s := &csi.Series{
 			Rate:    st.rate,
 			NumAnts: len(alive),

@@ -59,7 +59,7 @@ func benchReplay(b *testing.B, s *csi.Series, cfg StreamConfig) {
 // full-window-recompute streamer (the oracle path).
 func BenchmarkStreamerRecompute(b *testing.B) {
 	s := benchStreamSeries(b)
-	cfg := StreamConfig{Core: DefaultConfig(array.NewLinear3(0.029)), Recompute: true}
+	cfg := StreamConfig{Core: DefaultConfig(array.NewLinear3(0.029)), recompute: true}
 	cfg.Core.Parallelism = 1
 	benchReplay(b, s, cfg)
 }

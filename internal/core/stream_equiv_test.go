@@ -48,7 +48,7 @@ func equivStreamConfigs(arr *array.Array) (incCfg, oracleCfg StreamConfig) {
 	core.V = 12
 	incCfg = StreamConfig{Core: core, SpanSeconds: 1.5, HopSeconds: 0.25}
 	oracleCfg = incCfg
-	oracleCfg.Recompute = true
+	oracleCfg.recompute = true
 	oracleCfg.Core.Parallelism = 1
 	return incCfg, oracleCfg
 }

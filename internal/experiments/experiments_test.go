@@ -400,35 +400,3 @@ func TestExtHeadingShape(t *testing.T) {
 			r.ContinuousMeanDeg, r.DiscreteMeanDeg, r.Report)
 	}
 }
-
-func TestPerfShape(t *testing.T) {
-	r := Perf(Fast)
-	// 6 throughput rows (batch serial/parallel, stream recompute/
-	// incremental, symmetric dedup, incremental hop) plus one row per
-	// recorded stage histogram.
-	if want := 6 + len(r.Stages); len(r.Report.Rows) != want {
-		t.Fatalf("want %d rows, got %d\n%s", want, len(r.Report.Rows), r.Report)
-	}
-	// Timings are machine-dependent; only assert they are measurements.
-	if r.SerialNs <= 0 || r.ParallelNs <= 0 || r.HopNs <= 0 ||
-		r.RecomputeSlotsPerSec <= 0 || r.IncrementalSlotsPerSec <= 0 {
-		t.Fatalf("non-positive measurement: %+v", r)
-	}
-	if r.BatchSpeedup <= 0 || r.StreamSpeedup <= 0 || r.SymmetricSpeedup <= 0 {
-		t.Fatalf("non-positive speedup: %+v", r)
-	}
-	// The steady-state hop is allocation-free by contract.
-	if r.HopAllocsPerOp != 0 {
-		t.Errorf("steady-state hop allocates %.1f/op, want 0", r.HopAllocsPerOp)
-	}
-	// The instrumented replay must record every pipeline stage, with sane
-	// (positive, ordered) percentiles.
-	if len(r.Stages) != len(stageHistograms) {
-		t.Fatalf("stages = %d, want %d: %+v", len(r.Stages), len(stageHistograms), r.Stages)
-	}
-	for _, sl := range r.Stages {
-		if sl.Count == 0 || sl.P50 <= 0 || sl.P50 > sl.P90 || sl.P90 > sl.P99 {
-			t.Errorf("degenerate stage latency: %+v", sl)
-		}
-	}
-}

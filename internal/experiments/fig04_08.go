@@ -291,7 +291,7 @@ func Fig7(scale Scale) *Fig7Result {
 	stopDetected := func(ind []float64, static func(v float64) bool) int {
 		count := 0
 		cursor := 0
-		// Recompute stop intervals from ground truth.
+		// Re-derive stop intervals from ground truth.
 		for i := 1; i < len(tr.Samples); i++ {
 			mv := tr.Samples[i].Vel.Norm() > 0
 			pv := tr.Samples[i-1].Vel.Norm() > 0

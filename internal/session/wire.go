@@ -37,8 +37,12 @@ const (
 	// wireMaxPayload caps one message (64 MiB admits ~500 antennas of
 	// 114-tone 4-tx frames, far beyond any real deployment).
 	wireMaxPayload = 64 << 20
-	wireMaxID      = 256
-	wireMaxDim     = 1024
+	// wireReadChunk is the step in which the payload buffer grows past
+	// its reused capacity, so memory follows the bytes that arrive, not
+	// the length a header claims.
+	wireReadChunk = 64 << 10
+	wireMaxID     = 256
+	wireMaxDim    = 1024
 )
 
 // Msg is one decoded wire message.
@@ -186,11 +190,8 @@ func (wr *WireReader) Read() (*Msg, error) {
 	if n > wireMaxPayload {
 		return nil, fmt.Errorf("session: wire payload claims %d bytes, cap is %d", n, wireMaxPayload)
 	}
-	if cap(wr.buf) < int(n) {
-		wr.buf = make([]byte, n)
-	}
-	p := wr.buf[:n]
-	if _, err := io.ReadFull(wr.r, p); err != nil {
+	p, err := wr.readPayload(int(n))
+	if err != nil {
 		return nil, fmt.Errorf("session: wire payload: %w", err)
 	}
 	switch typ {
@@ -209,6 +210,32 @@ func (wr *WireReader) Read() (*Msg, error) {
 		return &Msg{Type: MsgClose, ID: id}, nil
 	}
 	return nil, fmt.Errorf("session: unknown wire message type %d", typ)
+}
+
+// readPayload reads an n-byte payload into the reused buffer. Past the
+// buffer's capacity it grows by at most max(wireReadChunk, what has been
+// read) at a time, so a header that claims a large payload and then stalls
+// or hangs up costs memory in proportion to the bytes actually sent.
+func (wr *WireReader) readPayload(n int) ([]byte, error) {
+	p := wr.buf[:0]
+	for len(p) < n {
+		if len(p) == cap(p) {
+			grown := make([]byte, len(p), min(n, len(p)+max(len(p), wireReadChunk)))
+			copy(grown, p)
+			p = grown
+		}
+		k, err := io.ReadFull(wr.r, p[len(p):min(n, cap(p))])
+		p = p[:len(p)+k]
+		if err != nil {
+			if err == io.EOF && len(p) > 0 {
+				err = io.ErrUnexpectedEOF // mid-payload, as one ReadFull reports it
+			}
+			wr.buf = p
+			return nil, err
+		}
+	}
+	wr.buf = p
+	return p, nil
 }
 
 func parseString(p []byte) (string, []byte, error) {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -112,6 +113,54 @@ func TestWireRejectsOversizedClaims(t *testing.T) {
 	}
 }
 
+// TestWireClaimedPayloadAllocBounded: a header that claims a large payload
+// and then hangs up must fail without allocating the claimed length; the
+// reader's memory follows the bytes that arrive.
+func TestWireClaimedPayloadAllocBounded(t *testing.T) {
+	var hdr [5]byte
+	hdr[0] = MsgFrame
+	binary.LittleEndian.PutUint32(hdr[1:], wireMaxPayload)
+	wr := NewWireReader(bytes.NewReader(hdr[:]))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := wr.Read()
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("payload claim followed by EOF accepted")
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("truncated %d-byte claim allocated %d bytes, want < 1 MiB", wireMaxPayload, d)
+	}
+}
+
+// TestWireMultiChunkRoundTrip: frames larger than one read chunk decode
+// intact, before and after a small frame shrinks the reused buffer's length.
+func TestWireMultiChunkRoundTrip(t *testing.T) {
+	big, small := wireFrame(8, 4, 600), wireFrame(1, 1, 2) // ~307 KB, 32 B
+	var buf bytes.Buffer
+	for _, snap := range [][][][]complex128{big, small, big} {
+		if err := WriteFrame(&buf, "w", snap, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wr := NewWireReader(&buf)
+	for i, snap := range [][][][]complex128{big, small, big} {
+		m, err := wr.Read()
+		if err != nil || m.Type != MsgFrame || len(m.Snap) != len(snap) {
+			t.Fatalf("frame %d: %+v err=%v", i, m, err)
+		}
+		for a := range snap {
+			for tx := range snap[a] {
+				for k := range snap[a][tx] {
+					if m.Snap[a][tx][k] != snap[a][tx][k] {
+						t.Fatalf("frame %d snap[%d][%d][%d] = %v, want %v", i, a, tx, k, m.Snap[a][tx][k], snap[a][tx][k])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestWireRejectsWriterMisuse(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteOpen(&buf, strings.Repeat("x", wireMaxID+1), Spec{}); err == nil {
@@ -127,14 +176,22 @@ func TestWireRejectsWriterMisuse(t *testing.T) {
 	}
 }
 
+// TestWireTruncatedPayloadIsError: a hangup inside a payload is an
+// unexpected EOF, never the clean-hangup io.EOF — also when it falls on a
+// read-chunk boundary of a multi-chunk payload.
 func TestWireTruncatedPayloadIsError(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, "id", wireFrame(2, 1, 3), nil); err != nil {
+	var small, big bytes.Buffer
+	if err := WriteFrame(&small, "id", wireFrame(2, 1, 3), nil); err != nil {
 		t.Fatal(err)
 	}
-	b := buf.Bytes()
-	if _, err := NewWireReader(bytes.NewReader(b[:len(b)-5])).Read(); err == nil {
-		t.Fatal("truncated payload accepted")
+	if err := WriteFrame(&big, "id", wireFrame(8, 4, 600), nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range [][]byte{small.Bytes()[:small.Len()-5], big.Bytes()[:5+wireReadChunk]} {
+		_, err := NewWireReader(bytes.NewReader(b)).Read()
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("payload truncated after %d bytes: err = %v, want unexpected EOF", len(b)-5, err)
+		}
 	}
 }
 
